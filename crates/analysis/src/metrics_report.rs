@@ -52,16 +52,14 @@ pub fn render_metrics(snap: &MetricsSnapshot) -> String {
     let _ = writeln!(out, "== metrics/1 ==");
 
     // --- off-line solver ----------------------------------------------
-    let matrix = snap.counter(Counter::SolveMatrixDispatches);
     let windowed = snap.counter(Counter::SolveSweepDispatches);
     let batched = snap.counter(Counter::SolveBatchInstances);
-    let solves = matrix + windowed + batched;
+    let solves = windowed + batched;
     if solves > 0 {
         let _ = writeln!(out, "off-line solver");
         let _ = writeln!(
             out,
-            "  solves: {solves}  (matrix {}, windowed {}, batched {})",
-            share(matrix, solves),
+            "  solves: {solves}  (windowed {}, batched {})",
             share(windowed, solves),
             share(batched, solves)
         );
@@ -69,10 +67,9 @@ pub fn render_metrics(snap: &MetricsSnapshot) -> String {
         if total > 0 {
             let _ = writeln!(
                 out,
-                "  time: {}ms total — prescan {}ms, matrix build {}ms, dp {}ms",
+                "  time: {}ms total — prescan {}ms, dp {}ms",
                 fnum(ms(total)),
                 fnum(ms(snap.counter(Counter::SolvePrescanNanos))),
-                fnum(ms(snap.counter(Counter::SolveMatrixBuildNanos))),
                 fnum(ms(snap.counter(Counter::SolveDpNanos)))
             );
         }
@@ -316,7 +313,7 @@ mod tests {
         reg.add(Counter::Requests, 120);
         reg.add(Counter::Transfers, 30);
         reg.add(Counter::Extensions, 90);
-        reg.add(Counter::SolveMatrixDispatches, 4);
+        reg.add(Counter::SolveSweepDispatches, 4);
         reg.add(Counter::SolveBatchInstances, 12);
         reg.add(Counter::SolveBatchDispatches, 2);
         reg.add(Counter::SolveBatchStageNanos, 1_000_000);

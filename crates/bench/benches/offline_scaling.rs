@@ -3,7 +3,7 @@
 //! `cargo bench -p mcc-bench --bench offline_scaling`
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mcc_core::offline::{solve_fast, solve_fast_compact, solve_naive, solve_quadratic};
+use mcc_core::offline::{solve_fast, solve_naive, solve_quadratic};
 use mcc_workloads::{CommonParams, PoissonWorkload, Workload};
 
 fn scaling_in_n(c: &mut Criterion) {
@@ -23,9 +23,6 @@ fn scaling_in_n(c: &mut Criterion) {
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("fast", n), &inst, |b, inst| {
             b.iter(|| solve_fast(inst).optimal_cost())
-        });
-        group.bench_with_input(BenchmarkId::new("compact", n), &inst, |b, inst| {
-            b.iter(|| solve_fast_compact(inst).optimal_cost())
         });
         group.bench_with_input(BenchmarkId::new("windowed", n), &inst, |b, inst| {
             b.iter(|| solve_naive(inst).optimal_cost())
@@ -56,8 +53,8 @@ fn scaling_in_m(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("fast", m), &inst, |b, inst| {
             b.iter(|| solve_fast(inst).optimal_cost())
         });
-        group.bench_with_input(BenchmarkId::new("compact", m), &inst, |b, inst| {
-            b.iter(|| solve_fast_compact(inst).optimal_cost())
+        group.bench_with_input(BenchmarkId::new("windowed", m), &inst, |b, inst| {
+            b.iter(|| solve_naive(inst).optimal_cost())
         });
     }
     group.finish();

@@ -3,9 +3,9 @@
 //! EXPERIMENTS.md). `--quick` shrinks the grid to test size; `--stdout`
 //! prints instead of writing the file; `--check` is the CI gate — it
 //! validates the committed `BENCH_solver.json` against the
-//! `bench-solver/3` schema, requires the committed batch acceptance
-//! (batched kernel ≥ 2x the per-instance auto path at the largest grid
-//! point) to hold, and re-measures the quick-shape batch speedup on the
+//! `bench-solver/4` schema, requires the committed batch acceptance
+//! (batched kernel ≥ 2x the per-instance warm windowed sweep at the
+//! largest grid point) to hold, and re-measures the quick-shape batch speedup on the
 //! current machine (fails when it regresses more than 10% below the
 //! committed value).
 
@@ -25,7 +25,7 @@ fn check() -> Result<(), String> {
     bench_solver::validate(&committed).map_err(|e| format!("committed BENCH_solver.json: {e}"))?;
 
     // The committed trajectory must carry the batch acceptance: the batched
-    // kernel beating the per-instance auto path by the pinned factor at the
+    // kernel beating the per-instance warm sweep by the pinned factor at the
     // largest grid point. A regenerated file that no longer meets it is a
     // kernel regression, caught here rather than by eyeballing the diff.
     let batch_acc = committed
@@ -50,9 +50,9 @@ fn check() -> Result<(), String> {
 
     let committed_quick = committed
         .get("quick")
-        .and_then(|q| q.get("batch_speedup_vs_auto"))
+        .and_then(|q| q.get("batch_speedup_vs_sweep"))
         .and_then(Json::as_f64)
-        .ok_or("committed quick.batch_speedup_vs_auto missing")?;
+        .ok_or("committed quick.batch_speedup_vs_sweep missing")?;
 
     // Best of three attempts: interference deflates a measured speedup,
     // never inflates it, so the max is the noise-robust estimate — a real
@@ -62,7 +62,7 @@ fn check() -> Result<(), String> {
         .fold(f64::NEG_INFINITY, f64::max);
     let floor = committed_quick * (1.0 - REGRESSION_BUDGET);
     eprintln!(
-        "quick batch speedup vs auto: fresh {fresh:.2}x vs committed {committed_quick:.2}x \
+        "quick batch speedup vs sweep: fresh {fresh:.2}x vs committed {committed_quick:.2}x \
          (floor {floor:.2}x)"
     );
     if fresh < floor {
@@ -103,6 +103,6 @@ fn main() {
         .and_then(Json::as_f64)
         .unwrap_or(f64::NAN);
     eprintln!(
-        "wrote {path} (warm workspace vs seed baseline: {speedup:.2}x, batch vs auto: {batch:.2}x)"
+        "wrote {path} (warm workspace vs seed baseline: {speedup:.2}x, batch vs sweep: {batch:.2}x)"
     );
 }

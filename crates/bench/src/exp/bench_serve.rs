@@ -49,7 +49,7 @@ pub const P99_BUDGET_US: f64 = 250.0;
 /// Serve-benchmark sizing.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ServeScale {
-    /// Item counts for the throughput/latency rows (×[`REQUESTS_PER_ITEM`]
+    /// Item counts for the throughput/latency rows (×`REQUESTS_PER_ITEM`
     /// requests each).
     pub rows: [usize; 3],
     /// Item count the acceptance latency gate is measured at.
@@ -142,7 +142,7 @@ pub struct ServeRate {
     pub samples: u64,
 }
 
-/// Serves the `items`-item stream until [`TARGET_SECS`] accumulate (at
+/// Serves the `items`-item stream until `TARGET_SECS` accumulate (at
 /// least 2 reps after a warm-up) and reports best-rep throughput plus
 /// latency percentiles from the engine's own histogram. The warm-up rep
 /// feeds the histogram too — per-decision latency does not depend on

@@ -1,9 +1,10 @@
 //! The machine-readable solver perf trajectory: `BENCH_solver.json`.
 //!
 //! Measures the off-line solver variants head to head — the pinned seed
-//! pipeline ([`super::baseline`]), allocating [`solve_fast`] /
-//! [`solve_fast_compact`], their warm [`SolverWorkspace`] entry points and
-//! the windowed-sweep reference — in ns/request over an E1-style grid,
+//! pipeline ([`super::baseline`]), the allocating pointer-matrix pass
+//! [`solve_fast`] and windowed sweep [`solve_naive`], their warm
+//! [`SolverWorkspace`] entry points and the batched kernel — in
+//! ns/request over an E1-style grid,
 //! times a parallel sweep in cells/sec, and snapshots peak RSS. The output
 //! is a single JSON document with a versioned `schema` tag, so successive
 //! commits can be diffed numerically (the "perf trajectory"). The headline
@@ -14,8 +15,8 @@
 use std::time::Instant;
 
 use mcc_core::offline::{
-    solve_auto_in, solve_batch_in, solve_fast, solve_fast_compact, solve_fast_compact_in,
-    solve_fast_in, solve_naive, BatchWorkspace, SolverWorkspace, AUTO_CROSSOVER_CELLS,
+    solve_batch_in, solve_fast, solve_fast_in, solve_naive, solve_naive_in, BatchWorkspace,
+    SolverWorkspace,
 };
 use mcc_core::online::{Follow, SpeculativeCaching};
 use mcc_model::{Instance, Json};
@@ -31,7 +32,7 @@ const TARGET_SECS: f64 = 0.2;
 /// allocating pipeline on the largest grid point.
 const SPEEDUP_TARGET: f64 = 1.3;
 /// The batch acceptance threshold: batched-kernel throughput over the
-/// `auto_workspace` path on the largest grid point.
+/// warm windowed sweep (`naive_workspace`) on the largest grid point.
 pub const BATCH_SPEEDUP_TARGET: f64 = 2.0;
 /// Instances per batched-kernel measurement (matches the sweep's
 /// [`mcc_simnet::BATCH_UNITS`] chunk width).
@@ -50,16 +51,11 @@ pub struct GridPoint {
     pub fast: f64,
     /// Pointer-matrix solver on a warm workspace.
     pub fast_workspace: f64,
-    /// Allocating binary-search solver.
-    pub compact: f64,
-    /// Binary-search solver on a warm workspace.
-    pub compact_workspace: f64,
-    /// Windowed sweep reference.
+    /// Allocating windowed sweep.
     pub naive: f64,
-    /// Shape-dispatched solver on a warm workspace (what the sweep
-    /// pipeline calls): matrix pass at/below the crossover, windowed
-    /// sweep above it.
-    pub auto_workspace: f64,
+    /// Windowed sweep on a warm workspace ([`solve_naive_in`]): the
+    /// per-instance solve the run pipeline falls back to.
+    pub naive_workspace: f64,
     /// Batched SoA kernel on a warm [`BatchWorkspace`], ns/request
     /// amortized over [`BATCH_K`] instances per kernel call.
     pub batch: f64,
@@ -78,10 +74,10 @@ impl GridPoint {
         self.fast / self.fast_workspace
     }
 
-    /// Batched-kernel speedup over the per-instance `auto_workspace` path
-    /// — the batch acceptance headline.
-    pub fn speedup_batch_vs_auto(&self) -> f64 {
-        self.auto_workspace / self.batch
+    /// Batched-kernel speedup over the per-instance warm sweep — the
+    /// batch acceptance headline.
+    pub fn speedup_batch_vs_sweep(&self) -> f64 {
+        self.naive_workspace / self.batch
     }
 }
 
@@ -161,15 +157,13 @@ pub fn measure_point(n: usize, m: usize) -> GridPoint {
 
     let baseline = ns_per_request(n, || check(solve_baseline(&inst)));
     let fast = ns_per_request(n, || check(solve_fast(&inst).optimal_cost()));
-    let compact = ns_per_request(n, || check(solve_fast_compact(&inst).optimal_cost()));
     let naive = ns_per_request(n, || check(solve_naive(&inst).optimal_cost()));
 
     let mut ws = SolverWorkspace::new();
     let fast_workspace = ns_per_request(n, || check(solve_fast_in(&inst, &mut ws).optimal_cost()));
-    let compact_workspace = ns_per_request(n, || {
-        check(solve_fast_compact_in(&inst, &mut ws).optimal_cost())
+    let naive_workspace = ns_per_request(n, || {
+        check(solve_naive_in(&inst, &mut ws, mcc_obs::noop()).optimal_cost())
     });
-    let auto_workspace = ns_per_request(n, || check(solve_auto_in(&inst, &mut ws).optimal_cost()));
     let batch = measure_batch(n, m);
 
     GridPoint {
@@ -178,18 +172,13 @@ pub fn measure_point(n: usize, m: usize) -> GridPoint {
         baseline,
         fast,
         fast_workspace,
-        compact,
-        compact_workspace,
         naive,
-        auto_workspace,
+        naive_workspace,
         batch,
     }
 }
 
 /// The measurement grid: the acceptance point `(n ≥ 10⁴, m ≥ 64)` last.
-/// The (2048, 16) point sits just below the auto-dispatch crossover and
-/// (4096, 16) just above it, so the committed grid brackets the rule the
-/// crossover regression test audits.
 pub fn grid(scale: Scale) -> Vec<(usize, usize)> {
     if scale.requests >= 1000 {
         vec![(2_048, 16), (4_096, 16), (16_384, 64)]
@@ -203,7 +192,7 @@ pub fn grid(scale: Scale) -> Vec<(usize, usize)> {
 /// speedup is stable under scheduler noise, yet cheap enough for CI.
 pub const QUICK_SHAPE: (usize, usize) = (1_024, 16);
 
-/// The quick-shape batched-vs-auto speedup: the cheap re-measurement
+/// The quick-shape batched-vs-sweep speedup: the cheap re-measurement
 /// `--check` runs against the committed `quick` section. One shape, two
 /// variants, single attempt (callers take the best of several).
 ///
@@ -212,7 +201,7 @@ pub const QUICK_SHAPE: (usize, usize) = (1_024, 16);
 /// interference (co-tenant bursts, frequency drift) then hits both sides
 /// of the ratio alike instead of deflating whichever variant it landed
 /// on, and the per-variant minimum still rejects per-rep jitter. Each
-/// auto rep solves the instance [`BATCH_K`] times so one rep of either
+/// sweep rep solves the instance [`BATCH_K`] times so one rep of either
 /// variant covers the same `BATCH_K · n` requests.
 pub fn quick_batch_speedup() -> f64 {
     let (n, m) = QUICK_SHAPE;
@@ -229,9 +218,10 @@ pub fn quick_batch_speedup() -> f64 {
     let mut ws = SolverWorkspace::new();
     let mut bws = BatchWorkspace::new();
 
-    let mut auto_rep = || {
+    let mut sweep_rep = || {
         for _ in 0..BATCH_K {
-            assert!((solve_auto_in(&inst, &mut ws).optimal_cost() - reference).abs() < 1e-6);
+            let cost = solve_naive_in(&inst, &mut ws, mcc_obs::noop()).optimal_cost();
+            assert!((cost - reference).abs() < 1e-6);
         }
     };
     let mut batch_rep = || {
@@ -245,17 +235,17 @@ pub fn quick_batch_speedup() -> f64 {
     };
 
     // Warm-up both variants (pages, predictors, buffer high-water marks).
-    auto_rep();
+    sweep_rep();
     batch_rep();
 
-    let mut best_auto = f64::INFINITY;
+    let mut best_sweep = f64::INFINITY;
     let mut best_batch = f64::INFINITY;
     let mut pairs = 0u32;
     let t0 = Instant::now();
     loop {
         let t = Instant::now();
-        auto_rep();
-        best_auto = best_auto.min(t.elapsed().as_secs_f64());
+        sweep_rep();
+        best_sweep = best_sweep.min(t.elapsed().as_secs_f64());
         let t = Instant::now();
         batch_rep();
         best_batch = best_batch.min(t.elapsed().as_secs_f64());
@@ -264,7 +254,7 @@ pub fn quick_batch_speedup() -> f64 {
             break;
         }
     }
-    best_auto / best_batch
+    best_sweep / best_batch
 }
 
 /// Times one end-to-end parallel sweep; returns (cells, seeds, cells/sec).
@@ -327,10 +317,8 @@ pub fn report(scale: Scale) -> Json {
                             ("baseline".into(), Json::Float(p.baseline)),
                             ("fast".into(), Json::Float(p.fast)),
                             ("fast_workspace".into(), Json::Float(p.fast_workspace)),
-                            ("compact".into(), Json::Float(p.compact)),
-                            ("compact_workspace".into(), Json::Float(p.compact_workspace)),
                             ("naive".into(), Json::Float(p.naive)),
-                            ("auto_workspace".into(), Json::Float(p.auto_workspace)),
+                            ("naive_workspace".into(), Json::Float(p.naive_workspace)),
                             ("batch".into(), Json::Float(p.batch)),
                         ]),
                     ),
@@ -343,8 +331,8 @@ pub fn report(scale: Scale) -> Json {
                         Json::Float(p.speedup_vs_fast()),
                     ),
                     (
-                        "speedup_batch_vs_auto".into(),
-                        Json::Float(p.speedup_batch_vs_auto()),
+                        "speedup_batch_vs_sweep".into(),
+                        Json::Float(p.speedup_batch_vs_sweep()),
                     ),
                 ])
             })
@@ -352,18 +340,8 @@ pub fn report(scale: Scale) -> Json {
     );
 
     Json::Obj(vec![
-        ("schema".into(), Json::Str("bench-solver/3".into())),
+        ("schema".into(), Json::Str(SCHEMA.into())),
         ("grid".into(), grid_json),
-        (
-            "crossover".into(),
-            Json::Obj(vec![
-                ("cells".into(), Json::Int(AUTO_CROSSOVER_CELLS as i64)),
-                (
-                    "rule".into(),
-                    Json::Str("matrix pass if n*m <= cells, else windowed sweep".into()),
-                ),
-            ]),
-        ),
         (
             "acceptance".into(),
             Json::Obj(vec![
@@ -380,11 +358,11 @@ pub fn report(scale: Scale) -> Json {
                 ("n".into(), Json::Int(last.n as i64)),
                 ("m".into(), Json::Int(last.m as i64)),
                 ("k".into(), Json::Int(BATCH_K as i64)),
-                ("speedup".into(), Json::Float(last.speedup_batch_vs_auto())),
+                ("speedup".into(), Json::Float(last.speedup_batch_vs_sweep())),
                 ("target".into(), Json::Float(BATCH_SPEEDUP_TARGET)),
                 (
                     "met".into(),
-                    Json::Bool(last.speedup_batch_vs_auto() >= BATCH_SPEEDUP_TARGET),
+                    Json::Bool(last.speedup_batch_vs_sweep() >= BATCH_SPEEDUP_TARGET),
                 ),
             ]),
         ),
@@ -393,7 +371,7 @@ pub fn report(scale: Scale) -> Json {
             Json::Obj(vec![
                 ("n".into(), Json::Int(QUICK_SHAPE.0 as i64)),
                 ("m".into(), Json::Int(QUICK_SHAPE.1 as i64)),
-                ("batch_speedup_vs_auto".into(), Json::Float(quick_speedup)),
+                ("batch_speedup_vs_sweep".into(), Json::Float(quick_speedup)),
             ]),
         ),
         (
@@ -411,26 +389,27 @@ pub fn report(scale: Scale) -> Json {
     ])
 }
 
-/// All ns/request keys a bench-solver/3 grid row must carry.
-pub const NS_KEYS: [&str; 8] = [
+/// The schema tag of the document [`report`] writes.
+pub const SCHEMA: &str = "bench-solver/4";
+
+/// All ns/request keys a bench-solver/4 grid row must carry.
+pub const NS_KEYS: [&str; 6] = [
     "baseline",
     "fast",
     "fast_workspace",
-    "compact",
-    "compact_workspace",
     "naive",
-    "auto_workspace",
+    "naive_workspace",
     "batch",
 ];
 
 /// Structural validation of a committed `BENCH_solver.json`: schema tag,
-/// grid rows with every ns/request key positive, crossover, both
-/// acceptance sections and the quick re-measurement anchor. Returns a
-/// human-readable description of the first problem found.
+/// grid rows with every ns/request key positive, both acceptance sections
+/// and the quick re-measurement anchor. Returns a human-readable
+/// description of the first problem found.
 pub fn validate(doc: &Json) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
-        Some("bench-solver/3") => {}
-        other => return Err(format!("schema is {other:?}, expected bench-solver/3")),
+        Some(SCHEMA) => {}
+        other => return Err(format!("schema is {other:?}, expected {SCHEMA}")),
     }
     let grid = doc
         .get("grid")
@@ -462,17 +441,13 @@ pub fn validate(doc: &Json) -> Result<(), String> {
             }
         }
         let speedup = row
-            .get("speedup_batch_vs_auto")
+            .get("speedup_batch_vs_sweep")
             .and_then(Json::as_f64)
-            .ok_or_else(|| format!("grid[{i}].speedup_batch_vs_auto missing"))?;
+            .ok_or_else(|| format!("grid[{i}].speedup_batch_vs_sweep missing"))?;
         if speedup.is_nan() || speedup <= 0.0 {
-            return Err(format!("grid[{i}].speedup_batch_vs_auto = {speedup}"));
+            return Err(format!("grid[{i}].speedup_batch_vs_sweep = {speedup}"));
         }
     }
-    doc.get("crossover")
-        .and_then(|c| c.get("cells"))
-        .and_then(Json::as_i64)
-        .ok_or("crossover.cells missing")?;
     for section in ["acceptance", "batch_acceptance"] {
         let acc = doc
             .get(section)
@@ -491,12 +466,12 @@ pub fn validate(doc: &Json) -> Result<(), String> {
     }
     let quick = doc
         .get("quick")
-        .and_then(|q| q.get("batch_speedup_vs_auto"))
+        .and_then(|q| q.get("batch_speedup_vs_sweep"))
         .and_then(Json::as_f64)
-        .ok_or("quick.batch_speedup_vs_auto missing")?;
+        .ok_or("quick.batch_speedup_vs_sweep missing")?;
     if quick.is_nan() || quick <= 0.0 {
         return Err(format!(
-            "quick.batch_speedup_vs_auto = {quick} not positive"
+            "quick.batch_speedup_vs_sweep = {quick} not positive"
         ));
     }
     doc.get("sweep")
@@ -513,15 +488,7 @@ mod tests {
     #[test]
     fn report_has_the_documented_shape() {
         let doc = report(Scale::quick());
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str),
-            Some("bench-solver/3")
-        );
-        let crossover = doc.get("crossover").unwrap();
-        assert_eq!(
-            crossover.get("cells").and_then(Json::as_i64),
-            Some(AUTO_CROSSOVER_CELLS as i64)
-        );
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
         let grid = doc.get("grid").and_then(Json::as_arr).unwrap();
         assert!(!grid.is_empty());
         let ns = grid[0].get("ns_per_request").unwrap();
@@ -538,7 +505,7 @@ mod tests {
         );
         assert!(
             doc.get("quick")
-                .and_then(|q| q.get("batch_speedup_vs_auto"))
+                .and_then(|q| q.get("batch_speedup_vs_sweep"))
                 .and_then(Json::as_f64)
                 .unwrap()
                 > 0.0

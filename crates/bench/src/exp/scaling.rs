@@ -1,5 +1,5 @@
 //! E1 — off-line runtime scaling: the paper's O(mn) pointer-matrix
-//! algorithm against three reference points:
+//! algorithm against two reference points:
 //!
 //! * the Θ(n²) "straightforward implementation" the paper describes (and
 //!   which stands in for the asymptotically slower exact predecessor
@@ -7,15 +7,12 @@
 //! * the windowed sweep — a reproduction finding: scanning only
 //!   `(p(i), i)` telescopes to O(nm) total work, so the paper's
 //!   complexity is achievable with no pointer matrix and O(n+m) memory,
-//!   and in practice it is the *fastest* of the four;
-//! * the binary-search variant (O(mn log n) time, O(n+m) space).
+//!   and in practice it is the *fastest* of the three.
 
 use std::time::Instant;
 
 use mcc_analysis::{fnum, loglog_slope, Section, Table};
-use mcc_core::offline::{
-    solve_fast, solve_fast_compact, solve_fast_in, solve_naive, solve_quadratic, SolverWorkspace,
-};
+use mcc_core::offline::{solve_fast, solve_fast_in, solve_naive, solve_quadratic, SolverWorkspace};
 use mcc_workloads::{CommonParams, PoissonWorkload, Workload};
 
 use super::Scale;
@@ -31,8 +28,6 @@ pub struct Point {
     pub fast: f64,
     /// Pointer-matrix solver into a warm reusable workspace (seconds).
     pub workspace: f64,
-    /// Binary-search variant (seconds).
-    pub compact: f64,
     /// Windowed sweep (seconds).
     pub windowed: f64,
     /// Θ(n²) full scan (seconds; None when skipped for size).
@@ -79,14 +74,8 @@ pub fn measure(scale: Scale) -> Vec<Point> {
             let _ = solve_fast_in(&inst, &mut ws);
             let mut ws_cost = 0.0;
             let workspace = time(|| ws_cost = solve_fast_in(&inst, &mut ws).optimal_cost());
-            let mut compact_cost = 0.0;
-            let compact = time(|| compact_cost = solve_fast_compact(&inst).optimal_cost());
             let mut windowed_cost = 0.0;
             let windowed = time(|| windowed_cost = solve_naive(&inst).optimal_cost());
-            assert!(
-                (fast_cost - compact_cost).abs() < 1e-6,
-                "solver disagreement"
-            );
             assert!((fast_cost - ws_cost).abs() < 1e-6, "solver disagreement");
             assert!(
                 (fast_cost - windowed_cost).abs() < 1e-6,
@@ -105,7 +94,6 @@ pub fn measure(scale: Scale) -> Vec<Point> {
                 m,
                 fast,
                 workspace,
-                compact,
                 windowed,
                 quadratic,
             });
@@ -124,7 +112,6 @@ pub fn section(scale: Scale) -> Section {
             "n",
             "fast (Thm. 2 matrix)",
             "fast (warm workspace)",
-            "compact (bsearch)",
             "windowed sweep",
             "quadratic Θ(n²)",
             "quad/fast",
@@ -136,7 +123,6 @@ pub fn section(scale: Scale) -> Section {
             p.n.to_string(),
             format!("{:.6}", p.fast),
             format!("{:.6}", p.workspace),
-            format!("{:.6}", p.compact),
             format!("{:.6}", p.windowed),
             p.quadratic
                 .map(|x| format!("{x:.6}"))
@@ -193,7 +179,7 @@ mod tests {
         assert_eq!(pts.len(), 6); // 2 m-values × 3 n-values
         assert!(pts
             .iter()
-            .all(|p| p.fast > 0.0 && p.workspace > 0.0 && p.compact > 0.0 && p.windowed > 0.0));
+            .all(|p| p.fast > 0.0 && p.workspace > 0.0 && p.windowed > 0.0));
         assert!(pts.iter().all(|p| p.quadratic.is_some()));
     }
 

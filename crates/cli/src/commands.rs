@@ -645,7 +645,11 @@ pub fn serve_loop<R: std::io::BufRead, W: std::io::Write>(
     };
     let clock = WallClock::new();
     let summary = match args.options.get("listen") {
-        Some(addr) => serve_tcp(addr, &mut engine, &clock, &opts)?,
+        Some(addr) => {
+            let listener =
+                std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+            serve_tcp(&listener, &mut engine, &clock, &opts)?
+        }
         None => serve_lines(&mut engine, &clock, input, out, &opts)?,
     };
     let mut text = String::new();

@@ -8,7 +8,7 @@
 //! a branch-free pivot window scan. Per-instance setup amortizes — one
 //! buffer reservation, no CSR build, no `Option` discriminants in the hot
 //! loop — while the computed tables stay **bit-identical** to
-//! [`super::solve_fast_in`] / [`super::solve_auto_in`] (asserted by the
+//! [`super::solve_fast_in`] / [`super::solve_naive_in`] (asserted by the
 //! differential proptests):
 //!
 //! * the staged `b`/`B` lanes reproduce [`mcc_model::Prescan::recompute`]'s exact
@@ -257,25 +257,11 @@ pub fn solve_batch_in<'w, S: Scalar>(
     insts: &[&Instance<S>],
     ws: &'w mut BatchWorkspace<S>,
 ) -> &'w BatchWorkspace<S> {
-    solve_batch_obs_in(insts, ws, mcc_obs::noop())
-}
-
-/// [`solve_batch_in`] with staging and kernel phases reported to `sink`:
-/// the SoA fill lands in [`Counter::SolveBatchStageNanos`], the DP kernel
-/// in [`Counter::SolveBatchDpNanos`] + [`Hist::BatchSolveNanos`].
-pub fn solve_batch_obs_in<'w, S: Scalar>(
-    insts: &[&Instance<S>],
-    ws: &'w mut BatchWorkspace<S>,
-    sink: &dyn Sink,
-) -> &'w BatchWorkspace<S> {
     ws.clear();
-    {
-        let _stage = Span::start(sink, Counter::SolveBatchStageNanos);
-        for inst in insts {
-            ws.push(inst);
-        }
+    for inst in insts {
+        ws.push(inst);
     }
-    ws.solve_obs(sink);
+    ws.solve();
     ws
 }
 
@@ -346,11 +332,13 @@ mod tests {
         let reg = Registry::new();
         let inst = fig6();
         let mut ws = BatchWorkspace::new();
-        solve_batch_obs_in(&[&inst, &inst], &mut ws, &reg);
+        ws.push(&inst);
+        ws.push(&inst);
+        ws.solve_obs(&reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Counter::SolveBatchDispatches), 1);
         assert_eq!(snap.counter(Counter::SolveBatchInstances), 2);
         assert_eq!(snap.hist(Hist::BatchSolveNanos).count, 1);
-        assert!(snap.counter(Counter::SolveBatchStageNanos) > 0);
+        assert!(snap.counter(Counter::SolveBatchDpNanos) > 0);
     }
 }

@@ -1,5 +1,5 @@
-//! The O(mn) fast solver (Theorem 2), plus an O(n + m)-space variant and
-//! zero-allocation workspace entry points.
+//! The O(mn) fast solver (Theorem 2) and the zero-allocation workspace
+//! entry points.
 //!
 //! The paper's data structure: per-server request lists `Q_j` and a matrix
 //! `A[n, m]` of pointers, where `A[i][j]` addresses the most recent request
@@ -8,24 +8,18 @@
 //! `t_{p(i)}`; that is the *successor* of `A[p(i)][j]` in `Q_j`, found in
 //! O(1). Pre-scan O(mn) time/space, DP pass O(m) per request: O(mn) total.
 //!
-//! [`solve_fast_compact`] trades the matrix for binary searches over the
-//! `Q_j` lists: O(n + m) space, O(m log n) work per request. The scaling
-//! benchmark (E1) measures both, as the space/time trade-off is exactly the
-//! knob a deployment would care about.
-//!
 //! # Workspaces
 //!
 //! Sweep-style callers (`mcc-simnet`, the benches) solve thousands of
 //! same-shaped instances back to back; re-allocating the pre-scan, the
 //! pointer matrix and the DP tables per solve dominated their profile. A
 //! [`SolverWorkspace`] owns all of those buffers, and [`solve_fast_in`] /
-//! [`solve_fast_compact_in`] refill them in place: after a warm-up solve at
-//! the largest shape, subsequent solves perform **zero heap allocations**
+//! [`solve_naive_in`] refill them in place: after a warm-up solve at the
+//! largest shape, subsequent solves perform **zero heap allocations**
 //! (asserted by the `alloc_free` integration test). The allocating
-//! [`solve_fast`] / [`solve_fast_compact`] APIs are thin wrappers over a
-//! throwaway workspace.
+//! [`solve_fast`] API is a thin wrapper over a throwaway workspace.
 
-use mcc_model::{Instance, Prescan, Scalar, ServerLists};
+use mcc_model::{Instance, Prescan, Scalar};
 use mcc_obs::{Counter, Hist, Sink, Span};
 
 use super::naive::WindowPivots;
@@ -144,50 +138,11 @@ impl PivotSource for MatrixPivots<'_> {
     }
 }
 
-/// Pivot enumeration via binary search: O(m log n) per request, O(1) extra
-/// space beyond the shared pre-scan.
-struct BsearchPivots<'a> {
-    by_server: ServerLists<'a>,
-    server_of: &'a [u32],
-}
-
-impl PivotSource for BsearchPivots<'_> {
-    fn for_each_pivot<F: FnMut(usize)>(&mut self, i: usize, p_i: usize, mut f: F) {
-        let own = self.server_of[i] as usize;
-        if p_i >= 1 {
-            f(p_i);
-        }
-        for (j, list) in self.by_server.iter().enumerate() {
-            if j == own || list.is_empty() {
-                continue;
-            }
-            // First entry > p_i.
-            let next = list.partition_point(|&k| k as usize <= p_i);
-            if next == 0 {
-                continue; // no request on j at or before p_i ⇒ κ has D = +∞
-            }
-            if let Some(&kappa) = list.get(next) {
-                let kappa = kappa as usize;
-                if kappa < i {
-                    f(kappa);
-                }
-            }
-        }
-    }
-}
-
-fn fill_server_of<S: Scalar>(inst: &Instance<S>, out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(inst.n() + 1);
-    out.push(mcc_model::ServerId::ORIGIN.0);
-    out.extend(inst.requests().iter().map(|r| r.server.0));
-}
-
 /// Reusable storage for the off-line solvers: pre-scan buffers, the pointer
-/// matrix, the `server_of` table and the DP output tables.
+/// matrix and the DP output tables.
 ///
 /// Create one per worker thread, warm it with a first solve, and every
-/// subsequent [`solve_fast_in`] / [`solve_fast_compact_in`] call on
+/// subsequent [`solve_fast_in`] / [`solve_naive_in`] call on
 /// instances of no larger shape performs zero heap allocations. Buffers
 /// only ever grow; a workspace never shrinks its capacity.
 ///
@@ -205,7 +160,6 @@ fn fill_server_of<S: Scalar>(inst: &Instance<S>, out: &mut Vec<u32>) {
 pub struct SolverWorkspace<S> {
     scan: Prescan<S>,
     matrix: PointerMatrix,
-    server_of: Vec<u32>,
     solution: DpSolution<S>,
 }
 
@@ -221,7 +175,6 @@ impl<S: Scalar> SolverWorkspace<S> {
         SolverWorkspace {
             scan: Prescan::new(),
             matrix: PointerMatrix::new(),
-            server_of: Vec::new(),
             solution: DpSolution::empty(),
         }
     }
@@ -268,29 +221,8 @@ pub fn solve_fast_in<'w, S: Scalar>(
     inst: &Instance<S>,
     ws: &'w mut SolverWorkspace<S>,
 ) -> &'w DpSolution<S> {
-    solve_fast_obs_in(inst, ws, mcc_obs::noop())
-}
-
-/// [`solve_fast_in`] with phase spans reported to `sink`: prescan,
-/// pointer-matrix build, and the DP pass each feed their nanosecond
-/// counter, and the whole solve lands in [`Hist::SolveNanos`]. Against
-/// the no-op sink no clock is ever read; the sink never changes what is
-/// computed.
-pub fn solve_fast_obs_in<'w, S: Scalar>(
-    inst: &Instance<S>,
-    ws: &'w mut SolverWorkspace<S>,
-    sink: &dyn Sink,
-) -> &'w DpSolution<S> {
-    let _solve = Span::with_hist(sink, Counter::SolveNanos, Hist::SolveNanos);
-    {
-        let _p = Span::start(sink, Counter::SolvePrescanNanos);
-        ws.scan.recompute(inst);
-    }
-    {
-        let _b = Span::start(sink, Counter::SolveMatrixBuildNanos);
-        ws.matrix.build_in(inst);
-    }
-    let _d = Span::start(sink, Counter::SolveDpNanos);
+    ws.scan.recompute(inst);
+    ws.matrix.build_in(inst);
     let mut pivots = MatrixPivots { matrix: &ws.matrix };
     run_dp_into(inst, &ws.scan, &mut pivots, &mut ws.solution);
     &ws.solution
@@ -298,21 +230,20 @@ pub fn solve_fast_obs_in<'w, S: Scalar>(
 
 /// [`super::solve_naive`] into a reusable [`SolverWorkspace`]: the
 /// windowed sweep driven off the workspace's pre-scan and DP tables (the
-/// pointer matrix stays untouched). Zero heap allocations once warm.
+/// pointer matrix stays untouched). This is the per-instance hot path:
+/// the sweep beats the matrix pass at every measured shape (EXPERIMENTS.md
+/// E1, E14). Zero heap allocations once warm.
+///
+/// Each call counts one [`Counter::SolveSweepDispatches`] and reports the
+/// prescan and DP phases to `sink` (the whole solve lands in
+/// [`Hist::SolveNanos`]). Against the no-op sink ([`mcc_obs::noop`]) no
+/// clock is ever read; the sink never changes what is computed.
 pub fn solve_naive_in<'w, S: Scalar>(
-    inst: &Instance<S>,
-    ws: &'w mut SolverWorkspace<S>,
-) -> &'w DpSolution<S> {
-    solve_naive_obs_in(inst, ws, mcc_obs::noop())
-}
-
-/// [`solve_naive_in`] with phase spans reported to `sink` (prescan + DP;
-/// the windowed sweep builds no matrix).
-pub fn solve_naive_obs_in<'w, S: Scalar>(
     inst: &Instance<S>,
     ws: &'w mut SolverWorkspace<S>,
     sink: &dyn Sink,
 ) -> &'w DpSolution<S> {
+    sink.add(Counter::SolveSweepDispatches, 1);
     let _solve = Span::with_hist(sink, Counter::SolveNanos, Hist::SolveNanos);
     {
         let _p = Span::start(sink, Counter::SolvePrescanNanos);
@@ -320,101 +251,6 @@ pub fn solve_naive_obs_in<'w, S: Scalar>(
     }
     let _d = Span::start(sink, Counter::SolveDpNanos);
     let mut pivots = WindowPivots { p: &ws.scan.p };
-    run_dp_into(inst, &ws.scan, &mut pivots, &mut ws.solution);
-    &ws.solution
-}
-
-/// Crossover for [`solve_auto`], in pointer-matrix cells (`n·m`).
-///
-/// Both the windowed sweep and the matrix row scan are O(m) per request;
-/// what separates them is memory traffic. The matrix costs an O(nm)
-/// write-only build and then reads 4-byte contiguous rows; the windowed
-/// sweep touches only O(n + m) state. Recalibrated on the `bench_solver`
-/// grid (see BENCH_solver.json `crossover` and `grid`): the sweep now wins
-/// at **every** measured shape — by 35–45% at 0.5–4 Ki cells, 35–95% at
-/// 8–32 Ki, and 15–30% above — so the dispatch sends everything to the
-/// sweep. (The earlier 64 Ki threshold let the matrix pass keep exactly
-/// the boundary shape (4096, 16), where the committed grid showed it
-/// losing by ~30%.) The constant stays as the tunable in case a future
-/// matrix layout earns its build cost back; `crates/bench/tests/crossover.rs`
-/// fails whenever the committed grid shows the auto pick losing to the
-/// best kernel by more than 15%.
-pub const AUTO_CROSSOVER_CELLS: usize = 0;
-
-/// Picks the faster exact solver for the instance's shape: the
-/// pointer-matrix pass below [`AUTO_CROSSOVER_CELLS`], the windowed sweep
-/// above. Both compute identical DP value tables (bit-for-bit: same
-/// recurrences, same minima over the same candidate sets), so the dispatch
-/// never changes results — only speed.
-pub fn solve_auto_in<'w, S: Scalar>(
-    inst: &Instance<S>,
-    ws: &'w mut SolverWorkspace<S>,
-) -> &'w DpSolution<S> {
-    solve_auto_obs_in(inst, ws, mcc_obs::noop())
-}
-
-/// [`solve_auto_in`] reporting the dispatch decision and phase timings
-/// to `sink` — the run pipeline's solver entry point. Counts each
-/// dispatch ([`Counter::SolveMatrixDispatches`] /
-/// [`Counter::SolveSweepDispatches`]) so a sweep's snapshot shows which
-/// side of the `n·m` crossover its instances landed on.
-// The crossover constant is a measured calibration value; `<=` keeps the
-// dispatch rule meaningful when recalibration moves it off its current
-// extreme of 0 (where clippy sees a degenerate unsigned compare).
-#[allow(clippy::absurd_extreme_comparisons)]
-pub fn solve_auto_obs_in<'w, S: Scalar>(
-    inst: &Instance<S>,
-    ws: &'w mut SolverWorkspace<S>,
-    sink: &dyn Sink,
-) -> &'w DpSolution<S> {
-    if inst.n().saturating_mul(inst.servers()) <= AUTO_CROSSOVER_CELLS {
-        sink.add(Counter::SolveMatrixDispatches, 1);
-        solve_fast_obs_in(inst, ws, sink)
-    } else {
-        sink.add(Counter::SolveSweepDispatches, 1);
-        solve_naive_obs_in(inst, ws, sink)
-    }
-}
-
-/// Allocating convenience over [`solve_auto_in`].
-pub fn solve_auto<S: Scalar>(inst: &Instance<S>) -> DpSolution<S> {
-    let mut ws = SolverWorkspace::new();
-    solve_auto_in(inst, &mut ws);
-    ws.take_solution()
-}
-
-/// Space-lean variant: O(n + m) space, O(mn log n) time.
-pub fn solve_fast_compact<S: Scalar>(inst: &Instance<S>) -> DpSolution<S> {
-    let mut ws = SolverWorkspace::new();
-    solve_fast_compact_in(inst, &mut ws);
-    ws.take_solution()
-}
-
-/// [`solve_fast_compact`] reusing a precomputed [`Prescan`].
-pub fn solve_fast_compact_with<S: Scalar>(inst: &Instance<S>, scan: &Prescan<S>) -> DpSolution<S> {
-    let mut server_of = Vec::new();
-    fill_server_of(inst, &mut server_of);
-    let mut pivots = BsearchPivots {
-        by_server: scan.server_lists(),
-        server_of: &server_of,
-    };
-    let mut out = DpSolution::empty();
-    run_dp_into(inst, scan, &mut pivots, &mut out);
-    out
-}
-
-/// [`solve_fast_compact`] into a reusable [`SolverWorkspace`] (the pointer
-/// matrix stays untouched). Zero heap allocations once warm.
-pub fn solve_fast_compact_in<'w, S: Scalar>(
-    inst: &Instance<S>,
-    ws: &'w mut SolverWorkspace<S>,
-) -> &'w DpSolution<S> {
-    ws.scan.recompute(inst);
-    fill_server_of(inst, &mut ws.server_of);
-    let mut pivots = BsearchPivots {
-        by_server: ws.scan.server_lists(),
-        server_of: &ws.server_of,
-    };
     run_dp_into(inst, &ws.scan, &mut pivots, &mut ws.solution);
     &ws.solution
 }
@@ -435,19 +271,15 @@ mod tests {
     fn fig6_golden_optimum() {
         let sol = solve_fast(&fig6());
         assert!((sol.optimal_cost() - 8.9).abs() < 1e-9);
-        let sol = solve_fast_compact(&fig6());
-        assert!((sol.optimal_cost() - 8.9).abs() < 1e-9);
     }
 
     #[test]
     fn matches_naive_on_fig6_tables() {
         let inst = fig6();
         let fast = solve_fast(&inst);
-        let compact = solve_fast_compact(&inst);
         let naive = solve_naive(&inst);
         for i in 0..=inst.n() {
             assert_eq!(fast.c[i], naive.c[i], "C({i})");
-            assert_eq!(compact.c[i], naive.c[i], "C({i}) compact");
             // D can be infinite; compare bit-identically via total order.
             assert!(fast.d[i] == naive.d[i] || (!fast.d[i].is_finite() && !naive.d[i].is_finite()));
         }
@@ -494,43 +326,18 @@ mod tests {
     fn workspace_solvers_match_allocating_solvers() {
         let inst = fig6();
         let small = Instance::<f64>::from_compact("m=2 mu=1 lambda=1 | s2@0.5 s1@1.0").unwrap();
+        let naive = solve_naive(&inst);
         let mut ws = SolverWorkspace::new();
-        // Interleave shapes and variants to shake out any state leakage.
+        // Interleave shapes and both passes on one warm workspace to shake
+        // out any state leakage between them.
         for _ in 0..3 {
             let sol = solve_fast_in(&inst, &mut ws);
             assert!((sol.optimal_cost() - 8.9).abs() < 1e-9);
-            let sol = solve_fast_compact_in(&small, &mut ws);
-            assert_eq!(
-                sol.optimal_cost(),
-                solve_fast_compact(&small).optimal_cost()
-            );
-            let sol = solve_fast_compact_in(&inst, &mut ws);
-            assert!((sol.optimal_cost() - 8.9).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn naive_and_auto_workspace_entry_points_match() {
-        let inst = fig6();
-        let mut ws = SolverWorkspace::new();
-        let naive = solve_naive(&inst);
-        {
-            let sol = solve_naive_in(&inst, &mut ws);
+            let sol = solve_naive_in(&small, &mut ws, mcc_obs::noop());
+            assert_eq!(sol.optimal_cost(), solve_fast(&small).optimal_cost());
+            let sol = solve_naive_in(&inst, &mut ws, mcc_obs::noop());
             assert_eq!(sol.c, naive.c);
         }
-        // Auto dispatch picks some exact solver; values are identical
-        // whichever side of the crossover the shape lands on.
-        let sol = super::solve_auto_in(&inst, &mut ws);
-        assert_eq!(sol.c, naive.c);
-        assert_eq!(
-            super::solve_auto(&inst).optimal_cost(),
-            naive.optimal_cost()
-        );
-        // A warm workspace interleaving naive and matrix passes leaks no
-        // state between them.
-        let fast_cost = solve_fast_in(&inst, &mut ws).optimal_cost();
-        let naive_cost = solve_naive_in(&inst, &mut ws).optimal_cost();
-        assert_eq!(fast_cost, naive_cost);
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! Given the full request sequence in advance (the "trajectory" setting),
 //! compute a minimum-cost set of caches and transfers:
 //!
-//! * [`solve_fast`] — the paper's O(mn) time/space algorithm (Theorem 2);
-//! * [`solve_fast_compact`] — O(n + m) space / O(mn log n) time variant;
-//! * [`solve_naive`] — the windowed reference sweep (O(nm) amortized);
-//! * [`solve_auto`] — shape-based dispatch between the matrix pass and the
-//!   windowed sweep (whichever is empirically faster at the instance's
-//!   `n·m`), used by the sweep hot path;
+//! * [`solve_fast`] — the paper's O(mn) time/space algorithm (Theorem 2),
+//!   with its pointer matrix (Fig. 5);
+//! * [`solve_naive`] — the windowed sweep (O(nm) amortized, O(n + m)
+//!   space); its workspace form [`solve_naive_in`] is the per-instance
+//!   hot path, faster than the matrix pass at every measured shape;
 //! * [`solve_batch_in`] — the batched SoA kernel: K instances staged into
 //!   one [`BatchWorkspace`] and solved lane by lane, amortizing per-instance
 //!   setup (bit-identical values, no provenance);
@@ -31,14 +30,10 @@ pub mod naive;
 pub mod reconstruct;
 pub mod tables;
 
-pub use batch::{solve_batch_in, solve_batch_obs_in, BatchWorkspace};
+pub use batch::{solve_batch_in, BatchWorkspace};
 pub use brute::{brute_force_cost, MAX_BRUTE_M, MAX_BRUTE_N};
 pub use capped::{capped_optimal_cost, MAX_CAPPED_M, MAX_CAPPED_N};
-pub use fast::{
-    solve_auto, solve_auto_in, solve_auto_obs_in, solve_fast, solve_fast_compact,
-    solve_fast_compact_in, solve_fast_compact_with, solve_fast_in, solve_fast_obs_in,
-    solve_fast_with, solve_naive_in, solve_naive_obs_in, SolverWorkspace, AUTO_CROSSOVER_CELLS,
-};
+pub use fast::{solve_fast, solve_fast_in, solve_fast_with, solve_naive_in, SolverWorkspace};
 pub use naive::{solve_naive, solve_naive_with, solve_quadratic, solve_quadratic_with};
 pub use reconstruct::reconstruct;
 pub use tables::{CStep, DStep, DpSolution, PivotSource};

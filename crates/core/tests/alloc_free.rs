@@ -1,5 +1,5 @@
 //! Asserts the `SolverWorkspace` zero-allocation guarantee: once a
-//! workspace is warm at a shape, `solve_fast_in` / `solve_fast_compact_in`
+//! workspace is warm at a shape, `solve_fast_in` / `solve_naive_in`
 //! perform **zero** heap allocations per solve.
 //!
 //! This file must remain the SOLE test in its integration-test binary: the
@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use mcc_core::offline::{
-    solve_batch_in, solve_fast_compact_in, solve_fast_in, BatchWorkspace, SolverWorkspace,
+    solve_batch_in, solve_fast_in, solve_naive_in, BatchWorkspace, SolverWorkspace,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
 
@@ -70,10 +70,10 @@ fn warm_workspace_solves_allocate_nothing() {
     let small = instance(300, 8);
     let mut ws = SolverWorkspace::new();
 
-    // Warm-up at the largest shape (grows every buffer), plus one compact
+    // Warm-up at the largest shape (grows every buffer), plus one sweep
     // solve so its paths are warm too.
     let expect = solve_fast_in(&big, &mut ws).optimal_cost();
-    let _ = solve_fast_compact_in(&big, &mut ws);
+    let _ = solve_naive_in(&big, &mut ws, mcc_obs::noop());
 
     // Warm the batched kernel at its largest staging (the sweep's chunk
     // width is 8; warm one wider to cover ragged final chunks).
@@ -88,8 +88,8 @@ fn warm_workspace_solves_allocate_nothing() {
         assert_eq!(got, expect);
         // Shape changes within the warmed envelope must stay free too.
         let _ = solve_fast_in(&small, &mut ws);
-        let _ = solve_fast_compact_in(&small, &mut ws);
-        let _ = solve_fast_compact_in(&big, &mut ws);
+        let _ = solve_naive_in(&small, &mut ws, mcc_obs::noop());
+        let _ = solve_naive_in(&big, &mut ws, mcc_obs::noop());
         // The warm batched kernel: full restage + solve, zero allocations.
         solve_batch_in(&batch_insts, &mut bws);
         assert_eq!(bws.optimal_cost(0), batch_expect);

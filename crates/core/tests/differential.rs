@@ -1,6 +1,6 @@
 //! Differential testing of the off-line solvers.
 //!
-//! The fast O(mn) DP, the space-lean variant, the naive sweep and the
+//! The fast O(mn) DP, the windowed sweep, the quadratic scan and the
 //! exhaustive oracle must agree *exactly* — we run them over the [`Fixed`]
 //! scalar with all inputs on a millisecond grid, so every `μ·duration`
 //! product is exact and `==` is sound (see `mcc_model::scalar` docs).
@@ -8,9 +8,9 @@
 //! at exactly the DP's claimed cost.
 
 use mcc_core::offline::{
-    brute_force_cost, reconstruct, solve_auto_in, solve_batch_in, solve_fast,
-    solve_fast_compact_in, solve_fast_compact_with, solve_fast_in, solve_fast_with, solve_naive,
-    solve_naive_with, solve_quadratic_with, BatchWorkspace, SolverWorkspace,
+    brute_force_cost, reconstruct, solve_batch_in, solve_fast, solve_fast_in, solve_fast_with,
+    solve_naive, solve_naive_in, solve_naive_with, solve_quadratic_with, BatchWorkspace,
+    SolverWorkspace,
 };
 use mcc_model::{validate, CostModel, Fixed, Instance, Prescan, Request, Scalar};
 use proptest::prelude::*;
@@ -80,19 +80,16 @@ proptest! {
     fn dp_matches_brute_force_exactly(inst in small_instance()) {
         let scan = Prescan::compute(&inst);
         let fast = solve_fast_with(&inst, &scan);
-        let compact = solve_fast_compact_with(&inst, &scan);
         let naive = solve_naive_with(&inst, &scan);
         let quadratic = solve_quadratic_with(&inst, &scan);
         let oracle = brute_force_cost(&inst);
         prop_assert_eq!(fast.optimal_cost(), oracle, "fast vs oracle on {}", inst.to_compact());
-        prop_assert_eq!(compact.optimal_cost(), oracle, "compact vs oracle");
         prop_assert_eq!(naive.optimal_cost(), oracle, "naive vs oracle");
         prop_assert_eq!(quadratic.optimal_cost(), oracle, "quadratic vs oracle");
         // Full tables agree, not just the end value.
         for i in 0..=inst.n() {
             prop_assert_eq!(fast.c[i], naive.c[i]);
             prop_assert_eq!(fast.d[i], naive.d[i]);
-            prop_assert_eq!(compact.c[i], naive.c[i]);
             prop_assert_eq!(quadratic.c[i], naive.c[i]);
         }
     }
@@ -115,17 +112,17 @@ proptest! {
         );
     }
 
-    /// A dirty reused workspace changes no bit of the output: both `_in`
-    /// solvers after solving an unrelated instance produce exactly the
-    /// tables — values *and* provenance — of a fresh allocating solve, and
-    /// exactly the naive sweep's values. (Provenance is only compared
-    /// against `solve_fast`/`solve_fast_compact`, which enumerate pivots in
-    /// the same order; the sweep may break cost ties differently.)
+    /// A dirty reused workspace changes no bit of the output: `solve_fast_in`
+    /// after solving an unrelated instance produces exactly the tables —
+    /// values *and* provenance — of a fresh allocating solve, and exactly
+    /// the naive sweep's values. (Provenance is only compared against
+    /// `solve_fast`, which enumerates pivots in the same order; the sweep
+    /// may break cost ties differently.)
     #[test]
     fn workspace_reuse_is_bit_exact(dirty in small_instance(), inst in small_instance()) {
         let mut ws = SolverWorkspace::new();
         let _ = solve_fast_in(&dirty, &mut ws);
-        let _ = solve_fast_compact_in(&dirty, &mut ws);
+        let _ = solve_naive_in(&dirty, &mut ws, mcc_obs::noop());
         let fresh = solve_fast(&inst);
         let naive = solve_naive(&inst);
         let sol = solve_fast_in(&inst, &mut ws);
@@ -135,11 +132,9 @@ proptest! {
         prop_assert_eq!(&sol.d_from, &fresh.d_from);
         prop_assert_eq!(&sol.c, &naive.c);
         prop_assert_eq!(&sol.d, &naive.d);
-        let sol = solve_fast_compact_in(&inst, &mut ws);
-        prop_assert_eq!(&sol.c, &fresh.c);
-        prop_assert_eq!(&sol.d, &fresh.d);
-        prop_assert_eq!(&sol.c_from, &fresh.c_from);
-        prop_assert_eq!(&sol.d_from, &fresh.d_from);
+        let sol = solve_naive_in(&inst, &mut ws, mcc_obs::noop());
+        prop_assert_eq!(&sol.c, &naive.c);
+        prop_assert_eq!(&sol.d, &naive.d);
     }
 
     /// The running bound B_n is a true lower bound and C is monotone.
@@ -180,10 +175,11 @@ proptest! {
 
     /// The same bit-identity holds for `f64` at scale (`to_bits`
     /// comparison, no tolerance): the batched lanes reproduce the windowed
-    /// sweep's and the auto dispatch's tables bit for bit, so swapping the
-    /// sweep pipeline onto the batched kernel can never change a result.
+    /// sweep's tables bit for bit — the per-instance solve the run pipeline
+    /// falls back to — so swapping the sweep pipeline onto the batched
+    /// kernel can never change a result.
     #[test]
-    fn batch_is_bit_identical_to_auto_at_scale(
+    fn batch_is_bit_identical_to_sweep_at_scale(
         insts in (1usize..=4).prop_flat_map(|k| proptest::collection::vec(medium_instance(), k)),
     ) {
         let views: Vec<&Instance<f64>> = insts.iter().collect();
@@ -191,7 +187,7 @@ proptest! {
         solve_batch_in(&views, &mut bws);
         let mut ws = SolverWorkspace::new();
         for (k, inst) in insts.iter().enumerate() {
-            let scalar = solve_auto_in(inst, &mut ws);
+            let scalar = solve_naive_in(inst, &mut ws, mcc_obs::noop());
             for i in 0..=inst.n() {
                 prop_assert_eq!(
                     bws.c(k)[i].to_bits(),
@@ -207,16 +203,14 @@ proptest! {
         }
     }
 
-    /// At scale (f64): both fast variants agree with the naive sweep to
+    /// At scale (f64): the matrix pass agrees with the naive sweep to
     /// floating-point tolerance, and reconstruction stays feasible.
     #[test]
     fn fast_equals_naive_at_scale(inst in medium_instance()) {
         let scan = Prescan::compute(&inst);
         let fast = solve_fast_with(&inst, &scan);
-        let compact = solve_fast_compact_with(&inst, &scan);
         let naive = solve_naive_with(&inst, &scan);
         prop_assert!(fast.optimal_cost().approx_eq(naive.optimal_cost(), 1e-9));
-        prop_assert!(compact.optimal_cost().approx_eq(naive.optimal_cost(), 1e-9));
         let sched = reconstruct(&inst, &scan, &fast);
         let validated = mcc_model::validate_with(
             &inst,

@@ -5,8 +5,7 @@
 //! larger instances: the deep net for regressions before a release.
 
 use mcc_core::offline::{
-    brute_force_cost, reconstruct, solve_fast_compact_with, solve_fast_with, solve_naive_with,
-    solve_quadratic_with,
+    brute_force_cost, reconstruct, solve_fast_with, solve_naive_with, solve_quadratic_with,
 };
 use mcc_core::online::{analyze, double_transfer, run_policy, SpeculativeCaching};
 use mcc_model::{validate, CostModel, Fixed, Instance, Prescan, Request, Scalar};
@@ -56,11 +55,6 @@ fn soak_dp_vs_oracle() {
         let fast = solve_fast_with(&inst, &scan).optimal_cost();
         let oracle = brute_force_cost(&inst);
         assert_eq!(fast, oracle, "case {case}: {}", inst.to_compact());
-        assert_eq!(
-            solve_fast_compact_with(&inst, &scan).optimal_cost(),
-            oracle,
-            "case {case} compact"
-        );
         assert_eq!(
             solve_naive_with(&inst, &scan).optimal_cost(),
             oracle,

@@ -93,11 +93,15 @@ impl Json {
     }
 
     /// Parses a complete JSON document (trailing whitespace allowed,
-    /// trailing garbage rejected).
+    /// trailing garbage rejected). Arrays and objects nested deeper than
+    /// [`MAX_JSON_DEPTH`] are rejected with [`ModelError::Parse`]: the
+    /// parser recurses per level, so an unbounded depth would let one
+    /// hostile line overflow the stack.
     pub fn parse(text: &str) -> Result<Json, ModelError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -209,9 +213,16 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Every document
+/// this workspace writes (traces, `serve/1` lines, `BENCH_*.json`) nests
+/// fewer than ten levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -263,11 +274,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to pass
+    /// [`MAX_JSON_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, ModelError>,
+    ) -> Result<Json, ModelError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ModelError> {
@@ -567,6 +593,21 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject `{bad}`");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = "[".repeat(MAX_JSON_DEPTH) + &"]".repeat(MAX_JSON_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let over = "[".repeat(MAX_JSON_DEPTH + 1) + &"]".repeat(MAX_JSON_DEPTH + 1);
+        let err = Json::parse(&over).unwrap_err();
+        assert!(matches!(err, ModelError::Parse { .. }), "{err:?}");
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Deep enough to overflow the stack of an uncapped recursive
+        // parser; the cap rejects it after 128 levels.
+        let hostile = "{\"a\":".repeat(300_000) + &"[".repeat(300_000);
+        assert!(Json::parse(&hostile).is_err());
+        assert!(Json::parse(&"[".repeat(300_000)).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`SpaceTimeGraph`] — the analysis graph of Definition 2.
 //!
 //! Solvers live in `mcc-core`; workload generators in `mcc-workloads`; the
-//! discrete-event execution substrate in `mcc-simnet`.
+//! batch run pipeline in `mcc-simnet`; the live daemon in `mcc-serve`.
 
 #![forbid(unsafe_code)]
 // `!(a > b)` is used deliberately where NaN must be rejected alongside
@@ -46,7 +46,7 @@ pub use cost::CostModel;
 pub use error::{ModelError, Violation};
 pub use ids::ServerId;
 pub use instance::{Instance, InstanceBuf};
-pub use json::{Json, JsonScalar};
+pub use json::{Json, JsonScalar, MAX_JSON_DEPTH};
 pub use prescan::{Prescan, PrescanBatch, ServerLists};
 pub use request::Request;
 pub use scalar::{Fixed, Scalar, FIXED_SCALE};

@@ -11,14 +11,11 @@
 #[repr(usize)]
 pub enum Counter {
     // --- off-line solver ------------------------------------------------
-    /// `solve_auto_in` dispatches that took the pointer-matrix pass.
-    SolveMatrixDispatches,
-    /// `solve_auto_in` dispatches that took the windowed sweep.
+    /// Per-instance windowed-sweep solves (`solve_naive_in`); batched
+    /// solves count under [`Counter::SolveBatchInstances`] instead.
     SolveSweepDispatches,
     /// Nanoseconds spent in the prescan phase (CSR build + bounds).
     SolvePrescanNanos,
-    /// Nanoseconds spent building the successor pointer matrix.
-    SolveMatrixBuildNanos,
     /// Nanoseconds spent in the DP recurrence itself.
     SolveDpNanos,
     /// Nanoseconds spent in whole off-line solves (all phases).
@@ -90,7 +87,7 @@ pub enum Counter {
     /// Nanoseconds workers spent acquiring chunks from the dispatcher.
     SweepDispatchWaitNanos,
     // --- batched solver ---------------------------------------------------
-    /// `solve_batch_obs_in` calls (one per filled batch, any size).
+    /// `BatchWorkspace::solve_obs` calls (one per filled batch, any size).
     SolveBatchDispatches,
     /// Instances solved through the batched kernel.
     SolveBatchInstances,
@@ -182,10 +179,8 @@ impl Counter {
 
     /// Every counter, in index order.
     pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::SolveMatrixDispatches,
         Counter::SolveSweepDispatches,
         Counter::SolvePrescanNanos,
-        Counter::SolveMatrixBuildNanos,
         Counter::SolveDpNanos,
         Counter::SolveNanos,
         Counter::Runs,
@@ -241,10 +236,8 @@ impl Counter {
     /// Stable snake_case snapshot key.
     pub fn name(self) -> &'static str {
         match self {
-            Counter::SolveMatrixDispatches => "solve_matrix_dispatches",
             Counter::SolveSweepDispatches => "solve_sweep_dispatches",
             Counter::SolvePrescanNanos => "solve_prescan_nanos",
-            Counter::SolveMatrixBuildNanos => "solve_matrix_build_nanos",
             Counter::SolveDpNanos => "solve_dp_nanos",
             Counter::SolveNanos => "solve_total_nanos",
             Counter::Runs => "runs",

@@ -4,10 +4,13 @@
 //!
 //! The loop is a thin shell around [`ServeEngine`]: parse a line with
 //! [`parse_request`], act, write exactly one response line (plus any
-//! pending [`ReplayNote`]s as `replayed` lines), flush. Malformed lines
-//! get an `error` response and the loop keeps serving — a daemon must
-//! not die because one client sent garbage. The loop ends at EOF or an
-//! explicit `shutdown` op (answered with `bye`).
+//! pending [`ReplayNote`](crate::ReplayNote)s as `replayed` lines),
+//! flush. Malformed lines — bad JSON, JSON nested past
+//! [`mcc_model::MAX_JSON_DEPTH`], bytes that are not UTF-8 — get an
+//! `error` response and the loop keeps serving: a daemon must not die
+//! because one client sent garbage. The loop ends at EOF or an explicit
+//! `shutdown` op (answered with `bye`). Over TCP a failed read or write
+//! ends only that connection.
 //!
 //! Time stamping: a `req` line carrying `t` uses it verbatim (simulated
 //! event time). A `req` without `t` is stamped with
@@ -18,8 +21,8 @@
 //!
 //! [`SimClock`]: mcc_simnet::SimClock
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::{TcpListener, TcpStream};
 
 use mcc_obs::Registry;
 use mcc_simnet::TimeSource;
@@ -83,14 +86,28 @@ fn drain_replays<W: Write>(
 pub fn serve_lines<R: BufRead, W: Write>(
     engine: &mut ServeEngine<'_>,
     clock: &dyn TimeSource,
-    input: R,
+    mut input: R,
     out: &mut W,
     opts: &DaemonOptions<'_>,
 ) -> Result<DaemonSummary, String> {
     let mut summary = DaemonSummary::default();
     let mut high_water = 0.0f64;
-    for line in input.lines() {
-        let line = line.map_err(|e| format!("read: {e}"))?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if input
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| format!("read: {e}"))?
+            == 0
+        {
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            summary.lines += 1;
+            summary.errors += 1;
+            emit(out, &error_response("line is not valid UTF-8"))?;
+            continue;
+        };
         let trimmed = line.trim();
         if trimmed.is_empty() {
             continue;
@@ -150,22 +167,28 @@ pub fn serve_lines<R: BufRead, W: Write>(
     Ok(summary)
 }
 
-/// Binds `addr` and serves connections one at a time, each through
+/// Serves connections accepted on `listener` one at a time, each through
 /// [`serve_lines`], until a client sends `shutdown`. Returns the
-/// summaries aggregated across connections.
+/// summaries aggregated across connections. A connection whose read or
+/// write fails ends alone: the error goes to stderr, that connection's
+/// counts are dropped, and the next client is served. Only a failed
+/// `accept` ends the loop with `Err`.
 pub fn serve_tcp(
-    addr: &str,
+    listener: &TcpListener,
     engine: &mut ServeEngine<'_>,
     clock: &dyn TimeSource,
     opts: &DaemonOptions<'_>,
 ) -> Result<DaemonSummary, String> {
-    let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let mut total = DaemonSummary::default();
     for stream in listener.incoming() {
         let stream = stream.map_err(|e| format!("accept: {e}"))?;
-        let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-        let mut writer = stream;
-        let s = serve_lines(engine, clock, reader, &mut writer, opts)?;
+        let s = match serve_connection(stream, engine, clock, opts) {
+            Ok(s) => s,
+            Err(e) => {
+                eprintln!("serve: connection dropped: {e}");
+                continue;
+            }
+        };
         total.lines += s.lines;
         total.decisions += s.decisions;
         total.sheds += s.sheds;
@@ -178,6 +201,25 @@ pub fn serve_tcp(
         }
     }
     Ok(total)
+}
+
+/// One TCP client through [`serve_lines`]. Responses go through a
+/// buffer that [`serve_lines`] flushes once per line, so each response
+/// leaves in one write; `TCP_NODELAY` then sends it at once instead of
+/// holding it for the client's delayed ACK (about 40 ms per closed-loop
+/// request on Linux).
+fn serve_connection(
+    stream: TcpStream,
+    engine: &mut ServeEngine<'_>,
+    clock: &dyn TimeSource,
+    opts: &DaemonOptions<'_>,
+) -> Result<DaemonSummary, String> {
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("nodelay: {e}"))?;
+    let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
+    let mut writer = BufWriter::new(stream);
+    serve_lines(engine, clock, reader, &mut writer, opts)
 }
 
 #[cfg(test)]
@@ -238,6 +280,94 @@ mod tests {
         assert_eq!(summary.decisions, 1);
         assert_eq!(docs.len(), 2);
         assert_eq!(docs[0].get("kind").and_then(Json::as_str), Some("error"));
+    }
+
+    #[test]
+    fn hostile_lines_get_one_error_each_and_the_loop_keeps_serving() {
+        // 300k open brackets overflow an uncapped recursive parser's
+        // stack; bytes 0xff 0xfe are not UTF-8.
+        let mut input = "[".repeat(300_000).into_bytes();
+        input
+            .extend_from_slice(b"\n\xff\xfe\n{\"op\":\"req\",\"item\":1,\"server\":1,\"t\":1.0}\n");
+        let cfg = ServeConfig::new(4, CostModel::unit());
+        let mut engine = ServeEngine::new(cfg, factory(SpeculativeCaching::paper()));
+        let mut out = Vec::new();
+        let opts = DaemonOptions::default();
+        let summary = serve_lines(
+            &mut engine,
+            &SimClock::default(),
+            &input[..],
+            &mut out,
+            &opts,
+        )
+        .expect("client errors are not IO errors");
+        assert_eq!(
+            (summary.lines, summary.errors, summary.decisions),
+            (3, 2, 1)
+        );
+        let text = String::from_utf8(out).expect("utf8");
+        let kinds: Vec<String> = text
+            .lines()
+            .map(|l| {
+                let doc = Json::parse(l).expect("response json");
+                validate_response(&doc).expect("valid serve/1 line");
+                doc.get("kind")
+                    .and_then(Json::as_str)
+                    .expect("kind")
+                    .to_string()
+            })
+            .collect();
+        assert_eq!(kinds, ["error", "error", "decision"]);
+        assert!(text.contains("nesting deeper than 128"), "{text}");
+        assert!(text.contains("not valid UTF-8"), "{text}");
+    }
+
+    #[test]
+    fn a_failed_tcp_connection_does_not_stop_the_listener() {
+        use std::io::{BufRead, Read};
+
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let server = std::thread::spawn(move || {
+            let cfg = ServeConfig::new(4, CostModel::unit());
+            let mut engine = ServeEngine::new(cfg, factory(SpeculativeCaching::paper()));
+            serve_tcp(
+                &listener,
+                &mut engine,
+                &SimClock::default(),
+                &DaemonOptions::default(),
+            )
+        });
+        // First client: a non-UTF-8 line gets an error line, then the
+        // client vanishes without reading the rest.
+        {
+            let mut c = TcpStream::connect(addr).expect("connect 1");
+            c.write_all(b"\xff\xfe\n").expect("send");
+            let mut line = String::new();
+            BufReader::new(&c).read_line(&mut line).expect("error line");
+            assert!(line.contains("\"kind\":\"error\""), "{line}");
+        }
+        // Second client: a connection reset mid-stream (abortive close
+        // with unread data) must not stop the listener either.
+        {
+            let c = TcpStream::connect(addr).expect("connect 2");
+            (&c).write_all(b"{\"op\":\"stats\"}\n").expect("send");
+            drop(c);
+        }
+        // Third client is still served.
+        let mut c = TcpStream::connect(addr).expect("connect 3");
+        c.write_all(b"{\"op\":\"req\",\"item\":1,\"server\":1,\"t\":1.0}\n{\"op\":\"shutdown\"}\n")
+            .expect("send");
+        let mut text = String::new();
+        c.read_to_string(&mut text).expect("responses");
+        assert!(text.contains("\"kind\":\"decision\""), "{text}");
+        assert!(text.contains("\"kind\":\"bye\""), "{text}");
+        let total = server
+            .join()
+            .expect("server thread")
+            .expect("listener survives");
+        assert!(total.shutdown);
+        assert!(total.decisions >= 1);
     }
 
     #[test]

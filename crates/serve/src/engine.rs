@@ -590,13 +590,15 @@ impl<'s> ServeEngine<'s> {
             .gauge_max(Gauge::ServeCopiesPeak, self.copies_live as u64);
     }
 
-    /// Pops every due heap node; live nodes fire
+    /// Pops every heap node due strictly before `until`; live nodes fire
     /// [`OnlineDecider::expire`] (which closes copies at their believed
-    /// expiry, making sweep timing unobservable) and re-arm.
+    /// expiry, making sweep timing unobservable) and re-arm. A deadline
+    /// *at* `until` is not due: the decider keeps a copy live through its
+    /// expiry instant, so firing it would re-arm the same node forever.
     fn sweep(&mut self, until: f64) {
         loop {
             match self.heap.peek() {
-                Some(top) if top.at <= until => {}
+                Some(top) if top.at < until => {}
                 _ => break,
             }
             let Some(node) = self.heap.pop() else { break };
@@ -686,6 +688,25 @@ mod tests {
             ServeReply::Decision(d) => d.action,
             ServeReply::Shed { reason, .. } => panic!("unexpected shed: {reason:?}"),
         }
+    }
+
+    #[test]
+    fn a_request_at_a_copy_deadline_is_answered() {
+        // Δt = 1: the origin copy and the s1 copy both carry deadlines,
+        // and the third request lands exactly on one of them. The timer
+        // sweep used to re-arm that deadline forever instead of answering.
+        let mut e = engine(4);
+        assert_eq!(action(e.observe(1, 0, 1.0)), ServeAction::Cache);
+        assert_eq!(
+            action(e.observe(1, 1, 2.0)),
+            ServeAction::Transfer { from: ServerId(0) }
+        );
+        assert_eq!(
+            action(e.observe(1, 2, 3.0)),
+            ServeAction::Transfer { from: ServerId(1) }
+        );
+        e.tick(4.0);
+        assert!(e.finish(1).is_some());
     }
 
     #[test]

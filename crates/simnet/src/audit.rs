@@ -1,18 +1,17 @@
-//! The always-on schedule auditor.
+//! The replay schedule auditor: the reference the run pipeline's
+//! streaming audit is property-tested against.
 //!
-//! Every run that goes through `run_cell`/`sweep` is replayed here after
-//! the fact — feasibility violations, unpaid transfers and cost-accounting
-//! drift become typed [`AuditFinding`]s instead of debug-build panics, so
-//! release sweeps surface defects instead of silently aggregating bogus
-//! costs.
+//! A replay turns feasibility violations, unpaid transfers and
+//! cost-accounting drift into typed [`AuditFinding`]s instead of
+//! debug-build panics. Every run that goes through `run_cell`/`sweep` is
+//! checked by the single-pass [`crate::StreamingAuditor`], which must
+//! report the same findings as this replay (`tests/audit_equivalence.rs`,
+//! `tests/fault_properties.rs`).
 //!
 //! The referee in `mcc-model` ([`mcc_model::validate_with`]) is quadratic
-//! in schedule size (`O(|H|·|T|)`), which is fine for tests but too slow
-//! to run after every seed of a full sweep. The auditor performs the same
-//! checks with per-server sorted interval indexes and binary-searched
-//! transfer lookups (`O((|H| + |T| + n)·log)`), which keeps always-on
-//! auditing unmeasurable next to the off-line DP each seed already pays
-//! for.
+//! in schedule size (`O(|H|·|T|)`). This auditor performs the same checks
+//! with per-server sorted interval indexes and binary-searched transfer
+//! lookups (`O((|H| + |T| + n)·log)`).
 //!
 //! When a [`FaultPlan`] is supplied the replay additionally applies
 //! *reality*: copies die at crash instants, intervals claimed on a down
@@ -36,8 +35,6 @@
 
 use mcc_core::online::{FaultPlan, OnlineRun};
 use mcc_model::{Instance, Schedule, ServerId, Violation};
-
-use crate::engine::SimOutcome;
 
 // --- shared fault-waiver helpers ------------------------------------------
 //
@@ -274,17 +271,6 @@ impl ScheduleAuditor {
             &run.schedule,
             Some(run.total_cost),
             Some(run.record.transfers.len()),
-            plan,
-        )
-    }
-
-    /// Audits a simulation outcome.
-    pub fn audit_outcome(&self, outcome: &SimOutcome, plan: Option<&FaultPlan>) -> AuditReport {
-        self.audit(
-            &outcome.instance,
-            &outcome.record.to_schedule(),
-            Some(outcome.total_cost),
-            Some(outcome.record.transfers.len()),
             plan,
         )
     }

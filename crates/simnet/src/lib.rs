@@ -1,18 +1,20 @@
-//! # mcc-simnet — discrete-event simulation substrate
+//! # mcc-simnet — the batch run pipeline
 //!
-//! The execution environment the online experiments run on: a
-//! deterministic event queue, a simulation engine that drives any
-//! [`mcc_core::online::OnlinePolicy`] from a live arrival process,
+//! The execution environment the online experiments run on: the
+//! [`RunRequest`] front door that drives any
+//! [`mcc_core::online::OnlineDecider`] over generated or replayed
+//! instances and prices each run against the off-line optimum,
 //! post-hoc instrumentation (live-copy timelines, cost attribution), a
 //! deterministic parallel sweep runner for (policy × workload × seed)
 //! grids, seed-driven fault injection ([`fault`]), and an always-on
-//! schedule auditor ([`audit`]) that replays every run against the model
-//! invariants (and the fault plan, when there is one).
+//! schedule auditor ([`streaming`], checked against the replay in
+//! [`audit`]) that verifies every run against the model invariants (and
+//! the fault plan, when there is one). Live arrivals are the serving
+//! daemon's job (`mcc-serve`).
 //!
 //! Simulation inputs are user-reachable (traces, CLI parameters), so this
-//! crate's non-test code must not panic on them: fallible paths return
-//! [`SimError`] and the unwrap/expect lints below are promoted to errors
-//! by CI's `-D warnings`.
+//! crate's non-test code must not panic on them: the unwrap/expect lints
+//! below are promoted to errors by CI's `-D warnings`.
 
 #![forbid(unsafe_code)]
 // `!(a > b)` is used deliberately where NaN must be rejected alongside
@@ -23,9 +25,6 @@
 
 pub mod audit;
 pub mod clock;
-pub mod engine;
-pub mod error;
-pub mod event;
 pub mod fault;
 pub mod metrics;
 pub mod parallel;
@@ -35,12 +34,6 @@ pub mod streaming;
 
 pub use audit::{AuditFinding, AuditReport, ScheduleAuditor};
 pub use clock::{SimClock, TimeSource, WallClock};
-pub use engine::{
-    simulate, simulate_under_faults, ArrivalProcess, FaultySimOutcome, Replay, SimConfig,
-    SimOutcome,
-};
-pub use error::SimError;
-pub use event::EventQueue;
 pub use fault::{FaultSpec, PlanScratch};
 pub use metrics::{Breakdown, CopyTimeline, FaultBreakdown};
 pub use parallel::{sweep, sweep_with, CellResult, GridCell};

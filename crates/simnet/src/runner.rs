@@ -14,9 +14,9 @@
 //! checking is not an opt-in debug mode but part of the measurement
 //! itself, and the per-seed finding count rides along in [`SeedResult`].
 //! The audit happens in-stream ([`StreamingAuditor`], one chronological
-//! pass over the raw run record); [`RunRequest::with_exhaustive_audit`]
-//! switches a request to the materializing [`ScheduleAuditor`] replay,
-//! the slower arbiter the streaming pass is property-tested against.
+//! pass over the raw run record), property-tested against the
+//! materializing [`crate::ScheduleAuditor`] replay in
+//! `tests/audit_equivalence.rs` and `tests/fault_properties.rs`.
 //! [`RunRequest::without_audit`] drops verification entirely — the
 //! throughput regime for fleet-scale sweeps of tiny instances, where the
 //! audit would otherwise be a third of the per-item wall time. The audit
@@ -35,7 +35,7 @@
 //! measurement: a request with a live sink produces bit-identical
 //! [`SeedResult`]s to one without.
 
-use mcc_core::offline::{solve_auto_obs_in, BatchWorkspace, SolverWorkspace};
+use mcc_core::offline::{solve_naive_in, BatchWorkspace, SolverWorkspace};
 use mcc_core::online::{
     brownout_surcharge, run_policy_record, FaultPlan, FaultStats, FaultTolerant, OnlineDecider,
     RunRecord, Runtime,
@@ -44,7 +44,6 @@ use mcc_model::Instance;
 use mcc_obs::{Counter, Hist, Sink, Span};
 use mcc_workloads::{InstanceBuf, Workload};
 
-use crate::audit::ScheduleAuditor;
 use crate::fault::{FaultSpec, PlanScratch};
 use crate::metrics::Breakdown;
 use crate::streaming::{AuditScratch, StreamingAuditor};
@@ -105,20 +104,6 @@ pub struct RunWorkspace {
     batch_units: usize,
 }
 
-/// Which auditor (if any) verifies each seed's run record.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-enum AuditRegime {
-    /// The single-pass [`StreamingAuditor`] — the default; zero heap
-    /// allocations once its scratch is warm.
-    Streaming,
-    /// The materializing [`ScheduleAuditor`] replay (debug arbiter;
-    /// slower, allocates per seed).
-    Exhaustive,
-    /// No auditor at all: `audit_findings` is reported as `0`. The audit
-    /// is pure observation, so simulation results are unaffected.
-    Off,
-}
-
 /// The per-seed half of [`RunWorkspace`]: solver tables, runtime record
 /// buffers, audit scratch and fault-plan buffers.
 struct SeedScratch {
@@ -129,7 +114,9 @@ struct SeedScratch {
     /// Plan storage for oblivious fault cells (tolerant cells expand
     /// straight into the wrapper's own plan buffer).
     fault_plan: FaultPlan,
-    regime: AuditRegime,
+    /// Whether the [`StreamingAuditor`] verifies each seed's run record;
+    /// when off, `audit_findings` is reported as `0`.
+    audit_on: bool,
 }
 
 impl RunWorkspace {
@@ -143,22 +130,12 @@ impl RunWorkspace {
                 audit: AuditScratch::default(),
                 plan_scratch: PlanScratch::default(),
                 fault_plan: FaultPlan::none(),
-                regime: AuditRegime::Streaming,
+                audit_on: true,
             },
             batch_gen: Vec::new(),
             batch: BatchWorkspace::new(),
             batch_units: BATCH_UNITS,
         }
-    }
-
-    /// A workspace that audits with the exhaustive [`ScheduleAuditor`]
-    /// replay instead of the streaming pass (slower; materializes the
-    /// normalized schedule per seed). Debug mode for chasing suspected
-    /// streaming-audit divergences.
-    pub fn exhaustive() -> Self {
-        let mut ws = RunWorkspace::new();
-        ws.run.regime = AuditRegime::Exhaustive;
-        ws
     }
 }
 
@@ -278,14 +255,6 @@ impl<'s> RunRequest<'s> {
         }
     }
 
-    /// Audits with the exhaustive [`ScheduleAuditor`] replay instead of
-    /// the streaming pass (debug arbiter; slower, allocates per seed).
-    #[must_use]
-    pub fn with_exhaustive_audit(mut self) -> Self {
-        self.ws.run.regime = AuditRegime::Exhaustive;
-        self
-    }
-
     /// Disables the per-seed audit entirely: no auditor runs and every
     /// [`SeedResult::audit_findings`] comes back `0`. The audit is pure
     /// observation, so all costs, ratios and transfer counts are
@@ -294,15 +263,15 @@ impl<'s> RunRequest<'s> {
     /// verification would otherwise be a third of the per-item time.
     #[must_use]
     pub fn without_audit(mut self) -> Self {
-        self.ws.run.regime = AuditRegime::Off;
+        self.ws.run.audit_on = false;
         self
     }
 
     /// Restores the default single-pass streaming audit (e.g. on a
-    /// workspace handed over from an unaudited or exhaustive request).
+    /// workspace handed over from an unaudited request).
     #[must_use]
     pub fn with_streaming_audit(mut self) -> Self {
-        self.ws.run.regime = AuditRegime::Streaming;
+        self.ws.run.audit_on = true;
         self
     }
 
@@ -592,8 +561,8 @@ pub fn fold_fault_stats(results: &[SeedResult]) -> FaultStats {
     total
 }
 
-/// Audit dispatch: the streaming single pass, the exhaustive replay, or
-/// nothing at all (reported as a clean run).
+/// The streaming single-pass audit, or nothing at all (reported as a
+/// clean run) when the request turned it off.
 fn audit_findings(
     inst: &Instance<f64>,
     rec: &RunRecord<f64>,
@@ -601,30 +570,21 @@ fn audit_findings(
     transfers: usize,
     plan: Option<&FaultPlan>,
     scratch: &mut AuditScratch,
-    regime: AuditRegime,
+    audit_on: bool,
 ) -> usize {
-    match regime {
-        AuditRegime::Off => 0,
-        AuditRegime::Exhaustive => ScheduleAuditor::default()
-            .audit(
-                inst,
-                &rec.to_schedule(),
-                Some(reported_cost),
-                Some(transfers),
-                plan,
-            )
-            .len(),
-        AuditRegime::Streaming => StreamingAuditor::default()
-            .audit_record_in(
-                inst,
-                rec,
-                Some(reported_cost),
-                Some(transfers),
-                plan,
-                scratch,
-            )
-            .len(),
+    if !audit_on {
+        return 0;
     }
+    StreamingAuditor::default()
+        .audit_record_in(
+            inst,
+            rec,
+            Some(reported_cost),
+            Some(transfers),
+            plan,
+            scratch,
+        )
+        .len()
 }
 
 /// Folds one finished seed into the sink: run/request/transfer counts,
@@ -733,7 +693,7 @@ fn dispatch(
 }
 
 /// The off-line optimum for a seed: the precomputed batch-kernel value
-/// when the caller staged one, otherwise a fresh auto-dispatched solve.
+/// when the caller staged one, otherwise a fresh windowed-sweep solve.
 /// The two are bit-identical (the batched kernel computes the same `C`
 /// tables bit-for-bit), so which path produced the number is
 /// unobservable in the results — only in the metrics.
@@ -745,7 +705,7 @@ fn opt_cost_for(
 ) -> f64 {
     match precomputed {
         Some(opt) => opt,
-        None => solve_auto_obs_in(inst, &mut ws.solver, sink).optimal_cost(),
+        None => solve_naive_in(inst, &mut ws.solver, sink).optimal_cost(),
     }
 }
 
@@ -857,7 +817,7 @@ fn seed_core(
         stats.transfers,
         None,
         &mut ws.audit,
-        ws.regime,
+        ws.audit_on,
     );
     let breakdown = Breakdown::from_record(rec, inst.cost());
     let opt = opt_cost_for(inst, precomputed_opt, ws, sink);
@@ -926,7 +886,7 @@ fn seed_faulty_body<P: OnlineDecider<f64>>(
         stats.transfers,
         Some(wrapped.plan()),
         &mut ws.audit,
-        ws.regime,
+        ws.audit_on,
     );
     let breakdown = Breakdown::from_record(rec, inst.cost());
     let opt = opt_cost_for(inst, precomputed_opt, ws, sink);
@@ -998,7 +958,7 @@ fn seed_oblivious_body(
         stats.transfers,
         Some(&ws.fault_plan),
         &mut ws.audit,
-        ws.regime,
+        ws.audit_on,
     );
     let breakdown = Breakdown::from_record(rec, inst.cost());
     let opt = opt_cost_for(inst, precomputed_opt, ws, sink);
@@ -1090,10 +1050,9 @@ mod tests {
         let transfers: usize = observed.iter().map(|r| r.transfers).sum();
         assert_eq!(snap.counter(Counter::Transfers), transfers as u64);
         assert_eq!(
-            snap.counter(Counter::SolveMatrixDispatches)
-                + snap.counter(Counter::SolveSweepDispatches),
+            snap.counter(Counter::SolveSweepDispatches),
             5,
-            "every seed runs exactly one auto-dispatched solve"
+            "every seed runs exactly one per-instance sweep solve"
         );
         assert_eq!(snap.hist(Hist::UnitNanos).count, 5);
         assert_eq!(snap.hist(Hist::RatioCenti).count, 5);
@@ -1180,34 +1139,6 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.online_cost, y.online_cost);
             assert_eq!(x.opt_cost, y.opt_cost);
-        }
-    }
-
-    #[test]
-    fn exhaustive_replay_mode_matches_the_streaming_pipeline() {
-        let w = PoissonWorkload::uniform(CommonParams::small().with_size(4, 60), 1.0);
-        let f = factory(SpeculativeCaching::paper());
-        let spec = FaultSpec {
-            seed: 7,
-            crash_rate: 0.4,
-            mean_downtime: 2.0,
-            tolerant: false,
-            ..FaultSpec::default()
-        };
-        let mode = RunMode::from_faults(Some(spec));
-        assert!(matches!(mode, RunMode::Oblivious(_)));
-        let a = RunRequest::new(mode).run_cell(&f, &w, 0..6);
-        let b = RunRequest::new(mode)
-            .with_exhaustive_audit()
-            .run_cell(&f, &w, 0..6);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.online_cost, y.online_cost);
-            assert_eq!(x.opt_cost, y.opt_cost);
-            assert_eq!(
-                x.audit_findings, y.audit_findings,
-                "seed {}: streaming and replay audits disagree",
-                x.seed
-            );
         }
     }
 

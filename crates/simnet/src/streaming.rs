@@ -17,8 +17,8 @@
 //! For every run the pipeline can produce, the streaming pass yields the
 //! same multiset of [`AuditFinding`]s as
 //! `ScheduleAuditor::audit(inst, &rec.to_schedule(), …)` (property-tested
-//! in `tests/audit_equivalence.rs`; the replay auditor remains available
-//! as the exhaustive debug mode). Finding *order* may differ — the
+//! in `tests/audit_equivalence.rs`; the replay auditor remains the
+//! reference those tests compare against). Finding *order* may differ — the
 //! replay groups findings by check, the stream emits them by time.
 //!
 //! The equivalence holds under the preconditions the runtime guarantees

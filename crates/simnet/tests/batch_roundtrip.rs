@@ -10,10 +10,10 @@
 //!   marginal and running bounds) — i.e. staging is a layout change, not a
 //!   recomputation that could drift;
 //! * every lane's solved optimum equals the per-instance
-//!   [`solve_auto_in`] answer exactly, across workload families, shapes
+//!   [`solve_naive_in`] answer exactly, across workload families, shapes
 //!   and seeds, including a dirty (reused) workspace.
 
-use mcc_core::offline::{solve_auto_in, solve_batch_in, BatchWorkspace, SolverWorkspace};
+use mcc_core::offline::{solve_batch_in, solve_naive_in, BatchWorkspace, SolverWorkspace};
 use mcc_model::Prescan;
 use mcc_workloads::{CommonParams, InstanceBuf, PoissonWorkload, Workload, ZipfWorkload};
 use proptest::prelude::*;
@@ -78,8 +78,8 @@ fn check_roundtrip(workload: &dyn Workload, seeds: &[u64]) -> Result<(), TestCas
                 i
             );
         }
-        // And the solved lane equals the per-instance auto solve exactly.
-        let scalar = solve_auto_in(inst, &mut ws);
+        // And the solved lane equals the per-instance sweep solve exactly.
+        let scalar = solve_naive_in(inst, &mut ws, mcc_obs::noop());
         prop_assert_eq!(
             bws.optimal_cost(k).to_bits(),
             scalar.optimal_cost().to_bits(),

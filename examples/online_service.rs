@@ -1,7 +1,8 @@
 //! An online data service: requests stream in live (nothing is known in
 //! advance), a policy decides per request, and we audit the accumulated
 //! schedule afterwards — including against baselines and the hindsight
-//! optimum. Runs on the `mcc-simnet` discrete-event engine.
+//! optimum. Each policy replays the trace through `run_policy`, which
+//! reveals one request at a time.
 //!
 //! ```sh
 //! cargo run --example online_service
@@ -9,7 +10,7 @@
 
 use mobile_cloud_cache::analysis::{fnum, Table};
 use mobile_cloud_cache::prelude::*;
-use mobile_cloud_cache::simnet::{simulate, Breakdown, CopyTimeline, Replay, SimConfig};
+use mobile_cloud_cache::simnet::{Breakdown, CopyTimeline};
 use mobile_cloud_cache::workloads::BurstyWorkload;
 
 fn main() {
@@ -23,11 +24,6 @@ fn main() {
     };
     let workload = BurstyWorkload::new(common, 6.0, 0.1, 4.0);
     let trace = workload.generate(2024);
-    let config = SimConfig {
-        servers: common.servers,
-        cost: *trace.cost(),
-        max_requests: usize::MAX,
-    };
 
     let mut table = Table::new(
         "Online service audit (bursty sessions, λ/μ = 2)",
@@ -42,22 +38,21 @@ fn main() {
     );
 
     let opt = optimal_cost(&trace);
-    let policies: Vec<Box<dyn OnlinePolicy<f64>>> = vec![
+    let policies: Vec<Box<dyn OnlineDecider<f64>>> = vec![
         Box::new(SpeculativeCaching::paper()),
         Box::new(Follow::new()),
         Box::new(StayAtOrigin::new()),
         Box::new(KeepEverywhere::new()),
     ];
     for mut policy in policies {
-        let sim = simulate(policy.as_mut(), &mut Replay::new(&trace), config)
-            .expect("generated traces are well-formed");
-        let breakdown = Breakdown::from_record(&sim.record, trace.cost());
-        let timeline = CopyTimeline::from_record(&sim.record);
+        let run = run_policy(policy.as_mut(), &trace);
+        let breakdown = Breakdown::from_record(&run.record, trace.cost());
+        let timeline = CopyTimeline::from_record(&run.record);
         table.row(&[
             policy.name(),
-            fnum(sim.total_cost),
-            format!("{}x", fnum(sim.total_cost / opt)),
-            sim.record.transfers.len().to_string(),
+            fnum(run.total_cost),
+            format!("{}x", fnum(run.total_cost / opt)),
+            run.transfers().to_string(),
             timeline.peak().to_string(),
             fnum(breakdown.speculative_tails),
         ]);

@@ -14,8 +14,8 @@
 //! * **Online**: the 3-competitive *Speculative Caching* algorithm — keep
 //!   each copy alive `Δt = λ/μ` past its last use ([`online`]).
 //! * **Substrates**: the problem model with an independent schedule
-//!   referee ([`model`]), a discrete-event simulation engine with parallel
-//!   sweeps and plan-and-repair execution ([`simnet`]), mobile-trajectory
+//!   referee ([`model`]), the batch run pipeline with parallel sweeps,
+//!   fault injection and plan-and-repair execution ([`simnet`]), mobile-trajectory
 //!   workload generators with a learned location predictor
 //!   ([`workloads`]), classic capacity-based caching for the Table I
 //!   comparison ([`classic`]), the heterogeneous-cost extension

@@ -1,12 +1,10 @@
-//! Cross-crate integration: workloads → simulation engine → policies →
+//! Cross-crate integration: workloads → run pipeline → policies →
 //! analysis → report files, exercising the whole pipeline the experiment
 //! binaries use.
 
 use mobile_cloud_cache::analysis::{render, Report, Section, Summary, Table};
 use mobile_cloud_cache::prelude::*;
-use mobile_cloud_cache::simnet::{
-    factory, simulate, sweep, Breakdown, CopyTimeline, GridCell, Replay, SimConfig,
-};
+use mobile_cloud_cache::simnet::{factory, sweep, Breakdown, CopyTimeline, GridCell};
 use mobile_cloud_cache::workloads::{trace, TraceWorkload};
 
 #[test]
@@ -17,29 +15,25 @@ fn engine_policy_and_direct_execution_agree_everywhere() {
         mu: 1.0,
         lambda: 1.0,
     };
+    let sc = factory(SpeculativeCaching::<f64>::paper());
+    let mut req = RunRequest::new(RunMode::Plain);
+    let mut policy = req.policy(&sc);
     for w in standard_suite(common) {
         let inst = w.generate(5);
-        let config = SimConfig {
-            servers: inst.servers(),
-            cost: *inst.cost(),
-            max_requests: usize::MAX,
-        };
-        let sim = simulate(
-            &mut SpeculativeCaching::paper(),
-            &mut Replay::new(&inst),
-            config,
-        )
-        .expect("replayed instances are well-formed");
         let direct = run_policy(&mut SpeculativeCaching::paper(), &inst);
+        let piped = req.run_seed(&mut policy, 5, &inst);
         assert!(
-            (sim.total_cost - direct.total_cost).abs() < 1e-9,
-            "engine vs executor diverge on {}",
+            (piped.online_cost - direct.total_cost).abs() < 1e-9,
+            "run pipeline vs executor diverge on {}",
             w.name()
         );
+        assert_eq!(piped.transfers, direct.transfers(), "{}", w.name());
+        assert_eq!(piped.opt_cost, optimal_cost(&inst), "{}", w.name());
+        assert_eq!(piped.audit_findings, 0, "{}", w.name());
         // Instrumentation is self-consistent.
-        let breakdown = Breakdown::from_record(&sim.record, inst.cost());
-        assert!((breakdown.total() - sim.total_cost).abs() < 1e-9);
-        let timeline = CopyTimeline::from_record(&sim.record);
+        let breakdown = Breakdown::from_record(&direct.record, inst.cost());
+        assert!((breakdown.total() - direct.total_cost).abs() < 1e-9);
+        let timeline = CopyTimeline::from_record(&direct.record);
         assert!(timeline.peak() >= 1);
         assert!(timeline.peak() <= inst.servers());
     }

@@ -1,7 +1,7 @@
 //! Guards the no-panic contract on user-input-reachable paths: non-test
 //! code in `mcc-simnet`, `mcc-cli` and `mcc-serve` must not call
-//! `.unwrap()` or `.expect(` — errors there surface as typed `SimError`
-//! / `ModelError` values, CLI exit codes, or `serve/1` error lines,
+//! `.unwrap()` or `.expect(` — errors there surface as typed
+//! `ModelError` values, CLI exit codes, or `serve/1` error lines,
 //! never as panics (a daemon parsing untrusted JSONL lines must not be
 //! killable by one bad client). (The same rule is enforced
 //! at lint level by `clippy::unwrap_used` in those crates and `-D

@@ -2,7 +2,7 @@
 //! crate — the "if these pass, the reproduction stands" suite.
 
 use mobile_cloud_cache::analysis::Summary;
-use mobile_cloud_cache::offline::{brute_force_cost, solve_fast, solve_fast_compact, solve_naive};
+use mobile_cloud_cache::offline::{brute_force_cost, solve_fast, solve_naive, solve_quadratic};
 use mobile_cloud_cache::online::analyze;
 use mobile_cloud_cache::prelude::*;
 
@@ -69,10 +69,10 @@ fn solver_agreement_across_families() {
     for w in standard_suite(common) {
         let inst = w.generate(11);
         let fast = solve_fast(&inst).optimal_cost();
-        let compact = solve_fast_compact(&inst).optimal_cost();
         let naive = solve_naive(&inst).optimal_cost();
+        let quadratic = solve_quadratic(&inst).optimal_cost();
         assert!((fast - naive).abs() < 1e-7, "{}", w.name());
-        assert!((fast - compact).abs() < 1e-7, "{}", w.name());
+        assert!((fast - quadratic).abs() < 1e-7, "{}", w.name());
         // The running bound really is a lower bound (Definition 5).
         let scan = Prescan::compute(&inst);
         assert!(scan.total_lower_bound() <= fast + 1e-9);
