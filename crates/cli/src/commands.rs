@@ -675,8 +675,10 @@ pub fn serve_loop<R: std::io::BufRead, W: std::io::Write>(
 
 /// `mcc serve`: the long-lived `serve/1` JSONL decision daemon.
 /// Reads request lines from stdin and answers on stdout (one response
-/// line per request, flushed immediately); `--listen ADDR` serves TCP
-/// connections instead, one at a time, until a client sends `shutdown`.
+/// line per request; the answers to all the lines one read brought are
+/// written and flushed together before the next read, so none waits on
+/// input); `--listen ADDR` serves TCP connections instead, one at a
+/// time, until a client sends `shutdown`.
 pub fn serve(args: &ParsedArgs) -> Result<String, String> {
     if args.operand.is_some() || args.inline.is_some() {
         return Err("`mcc serve` reads serve/1 request lines from stdin (no trace operand)".into());

@@ -18,6 +18,7 @@
 //! `i64` micro-unit count, and `f64` through shortest-roundtrip formatting
 //! (Rust's `{:?}`), so save/load is value-exact for both scalar modes.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::cost::CostModel;
@@ -98,25 +99,22 @@ impl Json {
     /// parser recurses per level, so an unbounded depth would let one
     /// hostile line overflow the stack.
     pub fn parse(text: &str) -> Result<Json, ModelError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
+        let mut p = Parser::new(text);
+        let v = p.value(true)?;
+        p.end()?;
         Ok(v)
     }
 
     /// Compact single-line rendering.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Appends the compact single-line rendering to `out`.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Pretty rendering with two-space indentation.
@@ -184,32 +182,43 @@ impl Json {
     }
 }
 
-/// Shortest-roundtrip float rendering; integral values get a `.0` suffix so
-/// they re-parse as floats, matching serde_json.
-fn write_f64(out: &mut String, f: f64) {
+/// Appends `f` in shortest-roundtrip form (Rust's `{:?}`), written
+/// straight into `out`; integral values get a `.0` suffix so they
+/// re-parse as floats, matching serde_json.
+pub fn write_f64(out: &mut String, f: f64) {
     debug_assert!(f.is_finite(), "JSON cannot represent non-finite floats");
-    let s = format!("{f:?}");
-    out.push_str(&s);
-    if !s.contains(['.', 'e', 'E']) {
+    let start = out.len();
+    let _ = write!(out, "{f:?}");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
 }
 
-fn write_str(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string. Runs of bytes that need no
+/// escape are copied whole; every escaped byte is ASCII, so each cut
+/// lands on a char boundary.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -218,17 +227,94 @@ fn write_str(out: &mut String, s: &str) {
 /// fewer than ten levels.
 pub const MAX_JSON_DEPTH: usize = 128;
 
+/// One top-level member value as [`scan_object`] hands it out.
+#[derive(Clone, Debug, PartialEq)]
+pub enum JsonAtom<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// An integer literal that fits `i64` (the [`Json::Int`] rule).
+    Int(i64),
+    /// Any other numeric literal.
+    Float(f64),
+    /// A string, borrowed from the input unless it holds escapes.
+    Str(Cow<'a, str>),
+    /// An array or object, checked and skipped.
+    Nested,
+}
+
+impl JsonAtom<'_> {
+    /// Numeric value as `f64` (from either lexical class).
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonAtom::Int(i) => Some(*i as f64),
+            JsonAtom::Float(f) => Some(*f),
+            _ => None,
+        }
+    }
+
+    /// Integer value, if this is an integer literal.
+    pub fn as_i64(&self) -> Option<i64> {
+        match self {
+            JsonAtom::Int(i) => Some(*i),
+            _ => None,
+        }
+    }
+}
+
+/// Checks `text` exactly as [`Json::parse`] does — same grammar, depth
+/// cap, trailing-garbage rule and error text — without building a tree.
+/// If the document is an object, each of its members is handed to
+/// `member` in order, key decoded; nested arrays and objects are checked
+/// and skipped. A document that is not an object reaches `member` never.
+/// Members arrive as they are read, so a caller that wants only valid
+/// documents must wait for `Ok` before acting on them.
+pub fn scan_object<'a>(
+    text: &'a str,
+    mut member: impl FnMut(&str, JsonAtom<'a>),
+) -> Result<(), ModelError> {
+    let mut p = Parser::new(text);
+    if p.peek() == Some(b'{') {
+        p.nested(|p| {
+            p.members(|p, key| {
+                let value = p.atom()?;
+                member(&key, value);
+                Ok(())
+            })
+        })?;
+    } else {
+        p.value(false)?;
+    }
+    p.end()
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    /// A parser at the first non-whitespace byte of `text`.
+    fn new(text: &'a str) -> Self {
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
+        p.skip_ws();
+        p
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn err(&self, detail: &str) -> ModelError {
         ModelError::Parse {
-            line: 1 + self.bytes[..self.pos]
+            line: 1 + self.bytes()[..self.pos]
                 .iter()
                 .filter(|&&b| b == b'\n')
                 .count(),
@@ -236,8 +322,18 @@ impl Parser<'_> {
         }
     }
 
+    /// Accepts only whitespace after the document.
+    fn end(&mut self) -> Result<(), ModelError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters after JSON value"))
+        }
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -247,7 +343,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn eat(&mut self, b: u8, what: &str) -> Result<(), ModelError> {
@@ -260,7 +356,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, ModelError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -268,25 +364,52 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ModelError> {
+    /// Parses one value. With `keep` false the value is only checked:
+    /// strings, arrays and objects come back as an empty stand-in
+    /// ([`Json::Null`], an empty array or object) and nothing is built.
+    fn value(&mut self, keep: bool) -> Result<Json, ModelError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'{') => self.nested(Self::object),
+            Some(b'"') => {
+                let s = self.string()?;
+                Ok(if keep {
+                    Json::Str(s.into_owned())
+                } else {
+                    Json::Null
+                })
+            }
+            Some(b'[') => self.nested(|p| p.array(keep)),
+            Some(b'{') => self.nested(|p| p.object(keep)),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
+    /// One member value for [`scan_object`].
+    fn atom(&mut self) -> Result<JsonAtom<'a>, ModelError> {
+        Ok(match self.peek() {
+            Some(b'"') => JsonAtom::Str(self.string()?),
+            Some(b'[' | b'{') => {
+                self.value(false)?;
+                JsonAtom::Nested
+            }
+            _ => match self.value(false)? {
+                Json::Bool(b) => JsonAtom::Bool(b),
+                Json::Int(i) => JsonAtom::Int(i),
+                Json::Float(f) => JsonAtom::Float(f),
+                _ => JsonAtom::Null,
+            },
+        })
+    }
+
     /// Parses one array or object one level deeper, refusing to pass
     /// [`MAX_JSON_DEPTH`].
-    fn nested(
+    fn nested<T>(
         &mut self,
-        parse: fn(&mut Self) -> Result<Json, ModelError>,
-    ) -> Result<Json, ModelError> {
+        parse: impl FnOnce(&mut Self) -> Result<T, ModelError>,
+    ) -> Result<T, ModelError> {
         if self.depth == MAX_JSON_DEPTH {
             return Err(self.err(&format!("nesting deeper than {MAX_JSON_DEPTH} levels")));
         }
@@ -296,7 +419,7 @@ impl Parser<'_> {
         v
     }
 
-    fn array(&mut self) -> Result<Json, ModelError> {
+    fn array(&mut self, keep: bool) -> Result<Json, ModelError> {
         self.eat(b'[', "expected [")?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -306,7 +429,10 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value(keep)?;
+            if keep {
+                items.push(item);
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -319,13 +445,29 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ModelError> {
-        self.eat(b'{', "expected {")?;
+    fn object(&mut self, keep: bool) -> Result<Json, ModelError> {
         let mut fields = Vec::new();
+        self.members(|p, key| {
+            let val = p.value(keep)?;
+            if keep {
+                fields.push((key.into_owned(), val));
+            }
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
+    }
+
+    /// Walks one object, handing each decoded key to `member`, which
+    /// reads that member's value.
+    fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), ModelError>,
+    ) -> Result<(), ModelError> {
+        self.eat(b'{', "expected {")?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -333,67 +475,73 @@ impl Parser<'_> {
             self.skip_ws();
             self.eat(b':', "expected : after object key")?;
             self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
+            member(self, key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected , or } in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ModelError> {
+    /// Reads one string literal, borrowed from the input unless it holds
+    /// escapes. The bytes up to the next `"` or `\` are taken as one run:
+    /// both are ASCII, so the cut lands on a char boundary, and the scan
+    /// stays linear in the string's length.
+    fn string(&mut self) -> Result<Cow<'a, str>, ModelError> {
         self.eat(b'"', "expected string")?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogates are not needed by the writer; map
-                            // unpaired ones to the replacement character.
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            let start = self.pos;
+            let Some(run) = self.bytes()[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += run;
+            let plain = &self.text[start..self.pos];
+            if self.bytes()[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match decoded {
+                    None => Cow::Borrowed(plain),
+                    Some(mut out) => {
+                        out.push_str(plain);
+                        Cow::Owned(out)
                     }
+                });
+            }
+            let out = decoded.get_or_insert_with(String::new);
+            out.push_str(plain);
+            self.pos += 1;
+            let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogates are not needed by the writer; map
+                    // unpaired ones to the replacement character.
+                    out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("unknown escape")),
             }
         }
     }
@@ -414,8 +562,8 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii digits are valid UTF-8");
+        // Every byte taken is ASCII, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         if lexical_int {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -608,6 +756,77 @@ mod tests {
         let hostile = "{\"a\":".repeat(300_000) + &"[".repeat(300_000);
         assert!(Json::parse(&hostile).is_err());
         assert!(Json::parse(&"[".repeat(300_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A scan that re-checks the rest of the input at every character
+        // is quadratic: tens of seconds for one 1 MiB string.
+        let body = "a".repeat(1 << 20);
+        let t0 = std::time::Instant::now();
+        assert_eq!(
+            Json::parse(&format!("\"{body}\"")).unwrap(),
+            Json::Str(body)
+        );
+        // The same with escapes and multibyte characters throughout.
+        let mixed = "ab\\n✓".repeat(1 << 18);
+        let parsed = Json::parse(&format!("\"{mixed}\"")).unwrap();
+        assert_eq!(parsed, Json::Str("ab\n✓".repeat(1 << 18)));
+        let elapsed = t0.elapsed();
+        assert!(elapsed.as_secs_f64() < 2.0, "took {elapsed:?}");
+    }
+
+    #[test]
+    fn scan_object_checks_like_parse_and_hands_over_members() {
+        for text in [
+            r#" {"a": [1, {"b": null}], "k\u0065y": "v\n", "s": "plain", "i": -7, "f": 2.5, "n": null, "t": true} "#,
+            r#"{"a":1,"a":2}"#,
+            "{}",
+            "[1,2]",
+            "\"top\"",
+            "{\"a\":1} x",
+            "{\"a\":}",
+            "{\"a\":\"\\q\"}",
+            "{\"a\" 1}",
+            "",
+        ] {
+            let mut seen = Vec::new();
+            let scanned = scan_object(text, |k, v| seen.push((k.to_string(), v)));
+            match Json::parse(text) {
+                Err(e) => assert_eq!(scanned.unwrap_err().to_string(), e.to_string(), "{text}"),
+                Ok(doc) => {
+                    assert!(scanned.is_ok(), "{text}");
+                    let fields = match doc {
+                        Json::Obj(fields) => fields,
+                        _ => Vec::new(),
+                    };
+                    assert_eq!(seen.len(), fields.len(), "{text}");
+                    for ((key, atom), (k, v)) in seen.iter().zip(&fields) {
+                        assert_eq!(key, k);
+                        let same = match (atom, v) {
+                            (JsonAtom::Null, Json::Null) => true,
+                            (JsonAtom::Bool(a), Json::Bool(b)) => a == b,
+                            (JsonAtom::Int(a), Json::Int(b)) => a == b,
+                            (JsonAtom::Float(a), Json::Float(b)) => a == b,
+                            (JsonAtom::Str(a), Json::Str(b)) => a == b,
+                            (JsonAtom::Nested, Json::Arr(_) | Json::Obj(_)) => true,
+                            _ => false,
+                        };
+                        assert!(same, "{text}: {atom:?} vs {v:?}");
+                    }
+                }
+            }
+        }
+        // A string without escapes is borrowed from the input.
+        scan_object(r#"{"op":"req"}"#, |_, v| {
+            assert!(matches!(v, JsonAtom::Str(Cow::Borrowed("req"))));
+        })
+        .unwrap();
+        let deep = "{\"a\":".repeat(MAX_JSON_DEPTH + 1) + &"}".repeat(MAX_JSON_DEPTH + 1);
+        assert_eq!(
+            scan_object(&deep, |_, _| {}).unwrap_err().to_string(),
+            Json::parse(&deep).unwrap_err().to_string()
+        );
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use cost::CostModel;
 pub use error::{ModelError, Violation};
 pub use ids::ServerId;
 pub use instance::{Instance, InstanceBuf};
-pub use json::{Json, JsonScalar, MAX_JSON_DEPTH};
+pub use json::{Json, JsonAtom, JsonScalar, MAX_JSON_DEPTH};
 pub use prescan::{Prescan, PrescanBatch, ServerLists};
 pub use request::Request;
 pub use scalar::{Fixed, Scalar, FIXED_SCALE};

@@ -2,15 +2,26 @@
 //! (stdin/stdout in production, in-memory buffers in tests) and a
 //! blocking TCP listener that runs the same loop per connection.
 //!
-//! The loop is a thin shell around [`ServeEngine`]: parse a line with
-//! [`parse_request`], act, write exactly one response line (plus any
-//! pending [`ReplayNote`](crate::ReplayNote)s as `replayed` lines),
-//! flush. Malformed lines — bad JSON, JSON nested past
-//! [`mcc_model::MAX_JSON_DEPTH`], bytes that are not UTF-8 — get an
-//! `error` response and the loop keeps serving: a daemon must not die
-//! because one client sent garbage. The loop ends at EOF or an explicit
-//! `shutdown` op (answered with `bye`). Over TCP a failed read or write
-//! ends only that connection.
+//! The loop is a thin shell around [`ServeEngine`]. It takes whatever
+//! input the reader already holds (one `fill_buf`), answers every
+//! complete line in it — [`parse_request`], act, render exactly one
+//! response line (plus any pending [`ReplayNote`](crate::ReplayNote)s as
+//! `replayed` lines) straight into one reused output buffer — and then
+//! writes and flushes that buffer once, before the next read that may
+//! block. So a burst of lines costs one write, and no answer waits on a
+//! read: a client that sends one line at a time gets each answer as
+//! soon as it is rendered. A partial line at the end of the input is
+//! carried over to the next read.
+//!
+//! Malformed lines — bad JSON, JSON nested past
+//! [`mcc_model::MAX_JSON_DEPTH`], bytes that are not UTF-8, lines longer
+//! than [`MAX_LINE_BYTES`] — get an `error` response and the loop keeps
+//! serving: a daemon must not die because one client sent garbage. An
+//! over-long line is answered as soon as it passes the cap, and the rest
+//! of it is dropped as it arrives, so a client that never sends a
+//! newline cannot grow the daemon's memory. The loop ends at EOF or an
+//! explicit `shutdown` op (answered with `bye`). Over TCP a failed read
+//! or write ends only that connection.
 //!
 //! Time stamping: a `req` line carrying `t` uses it verbatim (simulated
 //! event time). A `req` without `t` is stamped with
@@ -21,17 +32,22 @@
 //!
 //! [`SimClock`]: mcc_simnet::SimClock
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 
 use mcc_obs::Registry;
 use mcc_simnet::TimeSource;
 
 use crate::engine::{ServeEngine, ServeReply};
-use crate::wire::{
-    bye_response, decision_response, error_response, metrics_response, parse_request,
-    replayed_response, report_response, shed_response, stats_response, WireRequest,
-};
+use crate::wire::{parse_request, Response, WireRequest};
+
+/// Longest request line the daemon accepts, in bytes without the
+/// newline. A longer line gets one `error` response; its bytes are
+/// dropped through the next newline without being buffered. Real
+/// request lines are under 100 bytes; the cap sits well above the
+/// hostile lines the parser must still see and name (a 300k-deep
+/// nest is answered "nesting deeper than 128 levels").
+pub const MAX_LINE_BYTES: usize = 512 * 1024;
 
 /// Knobs for one serving loop.
 #[derive(Clone, Copy, Default)]
@@ -62,27 +78,107 @@ pub struct DaemonSummary {
     pub shutdown: bool,
 }
 
-fn emit<W: Write>(out: &mut W, doc: &mcc_model::Json) -> Result<(), String> {
-    writeln!(out, "{}", doc.to_string_compact()).map_err(|e| format!("write: {e}"))?;
-    out.flush().map_err(|e| format!("flush: {e}"))
+/// One serving loop's state between reads: the engine it drives, the
+/// time high-water mark, and the responses not yet written.
+struct Session<'s, 'e> {
+    engine: &'s mut ServeEngine<'e>,
+    clock: &'s dyn TimeSource,
+    opts: &'s DaemonOptions<'s>,
+    summary: DaemonSummary,
+    high_water: f64,
+    out: String,
 }
 
-fn drain_replays<W: Write>(
-    engine: &mut ServeEngine<'_>,
-    out: &mut W,
-    summary: &mut DaemonSummary,
-) -> Result<(), String> {
-    for note in engine.take_replayed() {
-        emit(out, &replayed_response(&note))?;
-        summary.replays += 1;
+impl Session<'_, '_> {
+    /// Renders one response into the output buffer and counts it.
+    fn emit(&mut self, r: Response<'_>) {
+        let n = &mut self.summary;
+        match r {
+            Response::Decision(_) => n.decisions += 1,
+            Response::Shed { .. } => n.sheds += 1,
+            Response::Replayed(_) => n.replays += 1,
+            Response::Report(_) => n.reports += 1,
+            Response::Error(_) => n.errors += 1,
+            Response::Stats(_) | Response::Metrics(_) | Response::Bye => {}
+        }
+        r.write_line(&mut self.out);
     }
-    Ok(())
+
+    fn stats(&mut self) {
+        self.emit(Response::Stats(self.engine.stats()));
+    }
+
+    /// Answers a line longer than [`MAX_LINE_BYTES`].
+    fn too_long(&mut self) {
+        self.summary.lines += 1;
+        self.emit(Response::Error(&format!(
+            "line longer than {MAX_LINE_BYTES} bytes"
+        )));
+    }
+
+    /// Answers one complete line (newline stripped, at most
+    /// [`MAX_LINE_BYTES`]); `shutdown` sets `summary.shutdown`.
+    fn line(&mut self, raw: &[u8]) {
+        let Ok(line) = std::str::from_utf8(raw) else {
+            self.summary.lines += 1;
+            self.emit(Response::Error("line is not valid UTF-8"));
+            return;
+        };
+        let trimmed = line.trim();
+        if trimmed.is_empty() {
+            return;
+        }
+        self.summary.lines += 1;
+        match parse_request(trimmed) {
+            Err(detail) => self.emit(Response::Error(&detail)),
+            Ok(WireRequest::Req { item, server, t }) => {
+                let t = t.unwrap_or_else(|| self.clock.now()).max(self.high_water);
+                self.high_water = t;
+                match self.engine.observe(item, server, t) {
+                    ServeReply::Decision(d) => self.emit(Response::Decision(d)),
+                    ServeReply::Shed { item, reason } => self.emit(Response::Shed { item, reason }),
+                }
+                for note in self.engine.take_replayed() {
+                    self.emit(Response::Replayed(note));
+                }
+            }
+            Ok(WireRequest::Finish { item }) => match self.engine.finish(item) {
+                Some(report) => self.emit(Response::Report(report)),
+                None => self.emit(Response::Error("finish: item not tracked")),
+            },
+            Ok(WireRequest::Stats) => self.stats(),
+            Ok(WireRequest::Metrics) => match self.opts.registry {
+                Some(reg) => self.emit(Response::Metrics(reg.snapshot().to_json())),
+                None => self.emit(Response::Error("metrics: no registry attached")),
+            },
+            Ok(WireRequest::Shutdown) => {
+                self.summary.shutdown = true;
+                if self.opts.stats_on_exit {
+                    self.stats();
+                }
+                self.emit(Response::Bye);
+            }
+        }
+    }
+
+    /// Writes and flushes the buffered responses, if any.
+    fn flush<W: Write>(&mut self, out: &mut W) -> Result<(), String> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        out.write_all(self.out.as_bytes())
+            .map_err(|e| format!("write: {e}"))?;
+        out.flush().map_err(|e| format!("flush: {e}"))?;
+        self.out.clear();
+        Ok(())
+    }
 }
 
 /// Runs the JSONL serving loop until EOF or `shutdown`. Every input
 /// line gets exactly one response line; offline-queue recoveries ride
-/// along as extra `replayed` lines. IO errors (not client errors) abort
-/// the loop with `Err`.
+/// along as extra `replayed` lines. Responses to all the complete lines
+/// one read returned leave in one write + flush, made before the next
+/// read. IO errors (not client errors) abort the loop with `Err`.
 pub fn serve_lines<R: BufRead, W: Write>(
     engine: &mut ServeEngine<'_>,
     clock: &dyn TimeSource,
@@ -90,81 +186,59 @@ pub fn serve_lines<R: BufRead, W: Write>(
     out: &mut W,
     opts: &DaemonOptions<'_>,
 ) -> Result<DaemonSummary, String> {
-    let mut summary = DaemonSummary::default();
-    let mut high_water = 0.0f64;
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        if input
-            .read_until(b'\n', &mut buf)
-            .map_err(|e| format!("read: {e}"))?
-            == 0
-        {
+    let mut s = Session {
+        engine,
+        clock,
+        opts,
+        summary: DaemonSummary::default(),
+        high_water: 0.0,
+        out: String::new(),
+    };
+    // The start of a line that the last read cut off, and whether the
+    // line now arriving already passed the cap (its rest is dropped).
+    let mut partial = Vec::new();
+    let mut dropping = false;
+    while !s.summary.shutdown {
+        s.flush(out)?;
+        let chunk = input.fill_buf().map_err(|e| format!("read: {e}"))?;
+        if chunk.is_empty() {
+            // EOF: a last line without a newline is still a line.
+            if !partial.is_empty() {
+                s.line(&partial);
+            }
             break;
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            summary.lines += 1;
-            summary.errors += 1;
-            emit(out, &error_response("line is not valid UTF-8"))?;
-            continue;
-        };
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        summary.lines += 1;
-        match parse_request(trimmed) {
-            Err(detail) => {
-                summary.errors += 1;
-                emit(out, &error_response(&detail))?;
-            }
-            Ok(WireRequest::Req { item, server, t }) => {
-                let t = t.unwrap_or_else(|| clock.now()).max(high_water);
-                high_water = t;
-                match engine.observe(item, server, t) {
-                    ServeReply::Decision(d) => {
-                        summary.decisions += 1;
-                        emit(out, &decision_response(&d))?;
-                    }
-                    ServeReply::Shed { item, reason } => {
-                        summary.sheds += 1;
-                        emit(out, &shed_response(item, reason))?;
-                    }
-                }
-                drain_replays(engine, out, &mut summary)?;
-            }
-            Ok(WireRequest::Finish { item }) => match engine.finish(item) {
-                Some(report) => {
-                    summary.reports += 1;
-                    emit(out, &report_response(&report))?;
-                }
-                None => {
-                    summary.errors += 1;
-                    emit(out, &error_response("finish: item not tracked"))?;
-                }
-            },
-            Ok(WireRequest::Stats) => emit(out, &stats_response(&engine.stats()))?,
-            Ok(WireRequest::Metrics) => match opts.registry {
-                Some(reg) => emit(out, &metrics_response(reg.snapshot().to_json()))?,
-                None => {
-                    summary.errors += 1;
-                    emit(out, &error_response("metrics: no registry attached"))?;
-                }
-            },
-            Ok(WireRequest::Shutdown) => {
-                summary.shutdown = true;
-                if opts.stats_on_exit {
-                    emit(out, &stats_response(&engine.stats()))?;
-                }
-                emit(out, &bye_response())?;
-                return Ok(summary);
+        let mut used = 0;
+        while used < chunk.len() && !s.summary.shutdown {
+            let rest = &chunk[used..];
+            let (piece, ended) = match rest.iter().position(|&b| b == b'\n') {
+                Some(nl) => (&rest[..nl], true),
+                None => (rest, false),
+            };
+            used += piece.len() + usize::from(ended);
+            if dropping {
+                dropping = !ended;
+            } else if partial.len() + piece.len() > MAX_LINE_BYTES {
+                partial.clear();
+                s.too_long();
+                dropping = !ended;
+            } else if !ended {
+                partial.extend_from_slice(piece);
+            } else if partial.is_empty() {
+                s.line(piece);
+            } else {
+                partial.extend_from_slice(piece);
+                s.line(&partial);
+                partial.clear();
             }
         }
+        input.consume(used);
     }
-    if opts.stats_on_exit {
-        emit(out, &stats_response(&engine.stats()))?;
+    if !s.summary.shutdown && s.opts.stats_on_exit {
+        s.stats();
     }
-    Ok(summary)
+    s.flush(out)?;
+    Ok(s.summary)
 }
 
 /// Serves connections accepted on `listener` one at a time, each through
@@ -203,11 +277,11 @@ pub fn serve_tcp(
     Ok(total)
 }
 
-/// One TCP client through [`serve_lines`]. Responses go through a
-/// buffer that [`serve_lines`] flushes once per line, so each response
-/// leaves in one write; `TCP_NODELAY` then sends it at once instead of
-/// holding it for the client's delayed ACK (about 40 ms per closed-loop
-/// request on Linux).
+/// One TCP client through [`serve_lines`]. [`serve_lines`] gathers the
+/// responses to each read's lines and hands them to the socket in one
+/// write; `TCP_NODELAY` then sends them at once instead of holding them
+/// for the client's delayed ACK (about 40 ms per closed-loop request on
+/// Linux).
 fn serve_connection(
     stream: TcpStream,
     engine: &mut ServeEngine<'_>,
@@ -218,8 +292,7 @@ fn serve_connection(
         .set_nodelay(true)
         .map_err(|e| format!("nodelay: {e}"))?;
     let reader = BufReader::new(stream.try_clone().map_err(|e| format!("clone: {e}"))?);
-    let mut writer = BufWriter::new(stream);
-    serve_lines(engine, clock, reader, &mut writer, opts)
+    serve_lines(engine, clock, reader, &mut &stream, opts)
 }
 
 #[cfg(test)]

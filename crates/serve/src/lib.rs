@@ -44,4 +44,4 @@ pub use engine::{
     EngineStats, ItemReport, ReplayNote, ServeConfig, ServeDecision, ServeEngine, ServeReply,
     ShedReason,
 };
-pub use wire::{parse_request, validate_response, WireRequest};
+pub use wire::{parse_request, validate_response, Response, WireRequest};

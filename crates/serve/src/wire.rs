@@ -19,12 +19,19 @@
 //! | `shutdown` | —                                     | emit `bye` and stop serving |
 //!
 //! Response kinds: `decision`, `shed`, `replayed`, `report`, `stats`,
-//! `metrics`, `error`, `bye`.
+//! `metrics`, `error`, `bye` — one [`Response`] variant each, whose field
+//! list renders either as text straight into the daemon's output buffer
+//! ([`Response::write_line`]) or as a [`Json`] tree (the `*_response`
+//! builders).
 
+use std::borrow::Cow;
+use std::fmt::Write as _;
+
+use mcc_core::online::ServeAction;
+use mcc_model::json::{self, JsonAtom};
 use mcc_model::Json;
 
 use crate::engine::{EngineStats, ItemReport, ReplayNote, ServeDecision, ShedReason};
-use mcc_core::online::ServeAction;
 
 /// The schema tag every response line carries.
 pub const SCHEMA: &str = "serve/1";
@@ -54,28 +61,39 @@ pub enum WireRequest {
     Shutdown,
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_i64)
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| format!("{key} must be a non-negative integer"))
-}
-
 /// Parses one request line. Errors describe the problem without echoing
-/// unbounded input.
+/// unbounded input: any echoed input is cut to [`ECHO_BYTES`].
+///
+/// The line is checked with the grammar, depth cap and error text of
+/// [`Json::parse`] but never becomes a tree: [`json::scan_object`] hands
+/// over the top-level members, and the first occurrence of each of
+/// `op`, `item`, `server` and `t` is kept. The whole line is checked
+/// before any field is, and the fields are checked in that order.
 pub fn parse_request(line: &str) -> Result<WireRequest, String> {
-    let doc = Json::parse(line).map_err(|e| format!("bad json: {e}"))?;
-    let op = doc
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "op must be a string".to_string())?;
-    match op {
+    let (mut op, mut item, mut server, mut t) = (None, None, None, None);
+    json::scan_object(line, |key, value| {
+        let slot = match key {
+            "op" => &mut op,
+            "item" => &mut item,
+            "server" => &mut server,
+            "t" => &mut t,
+            _ => return,
+        };
+        if slot.is_none() {
+            *slot = Some(value);
+        }
+    })
+    .map_err(|e| format!("bad json: {e}"))?;
+    let Some(JsonAtom::Str(op)) = op else {
+        return Err("op must be a string".to_string());
+    };
+    match op.as_ref() {
         "req" => {
-            let item = field_u64(&doc, "item")?;
-            let server = u32::try_from(field_u64(&doc, "server")?)
+            let item = field_u64(item, "item")?;
+            let server = u32::try_from(field_u64(server, "server")?)
                 .map_err(|_| "server must fit in u32".to_string())?;
-            let t = match doc.get("t") {
-                None | Some(Json::Null) => None,
+            let t = match t {
+                None | Some(JsonAtom::Null) => None,
                 Some(v) => Some(
                     v.as_f64()
                         .filter(|t| t.is_finite() && *t >= 0.0)
@@ -85,13 +103,36 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
             Ok(WireRequest::Req { item, server, t })
         }
         "finish" => Ok(WireRequest::Finish {
-            item: field_u64(&doc, "item")?,
+            item: field_u64(item, "item")?,
         }),
         "stats" => Ok(WireRequest::Stats),
         "metrics" => Ok(WireRequest::Metrics),
         "shutdown" => Ok(WireRequest::Shutdown),
-        other => Err(format!("unknown op {other:?}")),
+        other => Err(format!("unknown op {:?}", echo(other))),
     }
+}
+
+fn field_u64(value: Option<JsonAtom<'_>>, key: &str) -> Result<u64, String> {
+    value
+        .and_then(|v| v.as_i64())
+        .and_then(|v| u64::try_from(v).ok())
+        .ok_or_else(|| format!("{key} must be a non-negative integer"))
+}
+
+/// Longest piece of client input an error message repeats, in bytes.
+pub const ECHO_BYTES: usize = 64;
+
+/// `s` cut to at most [`ECHO_BYTES`] on a char boundary, with `…`
+/// appended when anything was cut.
+pub fn echo(s: &str) -> Cow<'_, str> {
+    if s.len() <= ECHO_BYTES {
+        return Cow::Borrowed(s);
+    }
+    let cut = (0..=ECHO_BYTES)
+        .rev()
+        .find(|&i| s.is_char_boundary(i))
+        .unwrap_or(0);
+    Cow::Owned(format!("{}…", &s[..cut]))
 }
 
 /// Renders a request line — the inverse of [`parse_request`]. Load
@@ -101,117 +142,251 @@ pub fn request_line(req: &WireRequest) -> Json {
     let op = |name: &str| ("op".to_string(), Json::Str(name.into()));
     match *req {
         WireRequest::Req { item, server, t } => {
-            let mut fields = vec![op("req"), ("item".into(), int(item))];
-            fields.push(("server".into(), int(u64::from(server))));
+            let mut fields = vec![op("req"), ("item".into(), Json::Int(clamp(item)))];
+            fields.push(("server".into(), Json::Int(i64::from(server))));
             if let Some(t) = t {
                 fields.push(("t".into(), Json::Float(t)));
             }
             Json::Obj(fields)
         }
-        WireRequest::Finish { item } => Json::Obj(vec![op("finish"), ("item".into(), int(item))]),
+        WireRequest::Finish { item } => {
+            Json::Obj(vec![op("finish"), ("item".into(), Json::Int(clamp(item)))])
+        }
         WireRequest::Stats => Json::Obj(vec![op("stats")]),
         WireRequest::Metrics => Json::Obj(vec![op("metrics")]),
         WireRequest::Shutdown => Json::Obj(vec![op("shutdown")]),
     }
 }
 
-fn head(kind: &str) -> Vec<(String, Json)> {
-    vec![
-        ("schema".into(), Json::Str(SCHEMA.into())),
-        ("kind".into(), Json::Str(kind.into())),
-    ]
+/// One response line, typed. [`Response::write_line`] renders it as
+/// text and [`Response::to_json`] as a tree, both from the one field
+/// list per kind in `fields`, so the two cannot drift apart.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Response<'a> {
+    /// A placement decision.
+    Decision(ServeDecision),
+    /// A request the engine refused.
+    Shed {
+        /// Item the request was for.
+        item: u64,
+        /// Why it was refused.
+        reason: ShedReason,
+    },
+    /// An offline-queue replay notification.
+    Replayed(ReplayNote),
+    /// A finished item's accounting.
+    Report(ItemReport),
+    /// An engine-stats snapshot.
+    Stats(EngineStats),
+    /// An embedded `metrics/1` document.
+    Metrics(Json),
+    /// A per-line error (the daemon keeps serving after these).
+    Error(&'a str),
+    /// The farewell line.
+    Bye,
 }
 
-fn int(v: u64) -> Json {
-    Json::Int(i64::try_from(v).unwrap_or(i64::MAX))
+/// Receives one response's fields in wire order.
+trait FieldSink {
+    fn int(&mut self, key: &str, v: u64);
+    fn float(&mut self, key: &str, v: f64);
+    fn text(&mut self, key: &str, v: &str);
+    fn doc(&mut self, key: &str, v: &Json);
+}
+
+/// Responses as [`Json::Obj`] fields.
+struct TreeSink(Vec<(String, Json)>);
+
+impl FieldSink for TreeSink {
+    fn int(&mut self, key: &str, v: u64) {
+        self.0.push((key.into(), Json::Int(clamp(v))));
+    }
+
+    fn float(&mut self, key: &str, v: f64) {
+        self.0.push((key.into(), Json::Float(v)));
+    }
+
+    fn text(&mut self, key: &str, v: &str) {
+        self.0.push((key.into(), Json::Str(v.into())));
+    }
+
+    fn doc(&mut self, key: &str, v: &Json) {
+        self.0.push((key.into(), v.clone()));
+    }
+}
+
+/// Responses as compact JSON text appended to a buffer, byte for byte
+/// what [`Json::to_string_compact`] renders from the tree.
+struct TextSink<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl TextSink<'_> {
+    fn key(&mut self, key: &str) {
+        self.out.push(if self.empty { '{' } else { ',' });
+        self.empty = false;
+        json::write_str(self.out, key);
+        self.out.push(':');
+    }
+}
+
+impl FieldSink for TextSink<'_> {
+    fn int(&mut self, key: &str, v: u64) {
+        self.key(key);
+        let _ = write!(self.out, "{}", clamp(v));
+    }
+
+    fn float(&mut self, key: &str, v: f64) {
+        self.key(key);
+        json::write_f64(self.out, v);
+    }
+
+    fn text(&mut self, key: &str, v: &str) {
+        self.key(key);
+        json::write_str(self.out, v);
+    }
+
+    fn doc(&mut self, key: &str, v: &Json) {
+        self.key(key);
+        v.write_compact(self.out);
+    }
+}
+
+/// Wire integers are `i64`; larger counts saturate.
+fn clamp(v: u64) -> i64 {
+    i64::try_from(v).unwrap_or(i64::MAX)
+}
+
+impl Response<'_> {
+    /// The `kind` tag this response carries.
+    fn kind(&self) -> &'static str {
+        match self {
+            Response::Decision(_) => "decision",
+            Response::Shed { .. } => "shed",
+            Response::Replayed(_) => "replayed",
+            Response::Report(_) => "report",
+            Response::Stats(_) => "stats",
+            Response::Metrics(_) => "metrics",
+            Response::Error(_) => "error",
+            Response::Bye => "bye",
+        }
+    }
+
+    /// The one field list of every kind, in wire order.
+    fn fields<F: FieldSink>(&self, f: &mut F) {
+        f.text("schema", SCHEMA);
+        f.text("kind", self.kind());
+        match self {
+            Response::Decision(d) => {
+                f.int("item", d.item);
+                f.float("t", d.t);
+                f.int("server", u64::from(d.server.0));
+                match d.action {
+                    ServeAction::Cache => f.text("action", "cache"),
+                    ServeAction::Transfer { from } => {
+                        f.text("action", "transfer");
+                        f.int("from", u64::from(from.0));
+                    }
+                    ServeAction::Deferred => f.text("action", "deferred"),
+                }
+                f.int("latency_ns", d.latency_ns);
+            }
+            Response::Shed { item, reason } => {
+                f.int("item", *item);
+                f.text("reason", reason.name());
+            }
+            Response::Replayed(n) => {
+                f.int("item", n.item);
+                f.int("server", u64::from(n.server.0));
+                f.float("t", n.t);
+                f.float("at", n.at);
+            }
+            Response::Report(r) => {
+                f.int("item", r.item);
+                f.int("requests", r.requests);
+                f.int("cache_hits", r.cache_hits);
+                f.int("transfers", r.transfers);
+                f.int("deferred", r.deferred);
+                f.float("online_cost", r.online_cost);
+                f.float("caching_cost", r.caching_cost);
+                f.float("transfer_cost", r.transfer_cost);
+            }
+            Response::Stats(s) => {
+                f.int("requests", s.requests);
+                f.int("cache_hits", s.cache_hits);
+                f.int("transfers", s.transfers);
+                f.int("deferred", s.deferred);
+                f.int("replayed", s.replayed);
+                f.int("sheds", s.sheds);
+                f.int("expirations", s.expirations);
+                f.int("items_live", s.items_live);
+                f.int("items_peak", s.items_peak);
+                f.int("copies_live", s.copies_live);
+                f.int("copies_peak", s.copies_peak);
+                f.int("items_finished", s.items_finished);
+                f.float("finished_cost", s.finished_cost);
+            }
+            Response::Metrics(doc) => f.doc("metrics", doc),
+            Response::Error(detail) => f.text("detail", detail),
+            Response::Bye => {}
+        }
+    }
+
+    /// This response as a JSON tree.
+    pub fn to_json(&self) -> Json {
+        let mut sink = TreeSink(Vec::new());
+        self.fields(&mut sink);
+        Json::Obj(sink.0)
+    }
+
+    /// Appends this response to `out` as one compact JSON line, newline
+    /// included, with no tree and no temporary string.
+    pub fn write_line(&self, out: &mut String) {
+        let mut sink = TextSink { out, empty: true };
+        self.fields(&mut sink);
+        out.push_str("}\n");
+    }
 }
 
 /// Renders a decision line.
 pub fn decision_response(d: &ServeDecision) -> Json {
-    let mut fields = head("decision");
-    fields.push(("item".into(), int(d.item)));
-    fields.push(("t".into(), Json::Float(d.t)));
-    fields.push(("server".into(), int(u64::from(d.server.0))));
-    match d.action {
-        ServeAction::Cache => fields.push(("action".into(), Json::Str("cache".into()))),
-        ServeAction::Transfer { from } => {
-            fields.push(("action".into(), Json::Str("transfer".into())));
-            fields.push(("from".into(), int(u64::from(from.0))));
-        }
-        ServeAction::Deferred => fields.push(("action".into(), Json::Str("deferred".into()))),
-    }
-    fields.push(("latency_ns".into(), int(d.latency_ns)));
-    Json::Obj(fields)
+    Response::Decision(*d).to_json()
 }
 
 /// Renders a shed line.
 pub fn shed_response(item: u64, reason: ShedReason) -> Json {
-    let mut fields = head("shed");
-    fields.push(("item".into(), int(item)));
-    fields.push(("reason".into(), Json::Str(reason.name().into())));
-    Json::Obj(fields)
+    Response::Shed { item, reason }.to_json()
 }
 
 /// Renders an offline-queue replay notification.
 pub fn replayed_response(n: &ReplayNote) -> Json {
-    let mut fields = head("replayed");
-    fields.push(("item".into(), int(n.item)));
-    fields.push(("server".into(), int(u64::from(n.server.0))));
-    fields.push(("t".into(), Json::Float(n.t)));
-    fields.push(("at".into(), Json::Float(n.at)));
-    Json::Obj(fields)
+    Response::Replayed(*n).to_json()
 }
 
 /// Renders a finished item's accounting.
 pub fn report_response(r: &ItemReport) -> Json {
-    let mut fields = head("report");
-    fields.push(("item".into(), int(r.item)));
-    fields.push(("requests".into(), int(r.requests)));
-    fields.push(("cache_hits".into(), int(r.cache_hits)));
-    fields.push(("transfers".into(), int(r.transfers)));
-    fields.push(("deferred".into(), int(r.deferred)));
-    fields.push(("online_cost".into(), Json::Float(r.online_cost)));
-    fields.push(("caching_cost".into(), Json::Float(r.caching_cost)));
-    fields.push(("transfer_cost".into(), Json::Float(r.transfer_cost)));
-    Json::Obj(fields)
+    Response::Report(*r).to_json()
 }
 
 /// Renders an engine-stats snapshot.
 pub fn stats_response(s: &EngineStats) -> Json {
-    let mut fields = head("stats");
-    fields.push(("requests".into(), int(s.requests)));
-    fields.push(("cache_hits".into(), int(s.cache_hits)));
-    fields.push(("transfers".into(), int(s.transfers)));
-    fields.push(("deferred".into(), int(s.deferred)));
-    fields.push(("replayed".into(), int(s.replayed)));
-    fields.push(("sheds".into(), int(s.sheds)));
-    fields.push(("expirations".into(), int(s.expirations)));
-    fields.push(("items_live".into(), int(s.items_live)));
-    fields.push(("items_peak".into(), int(s.items_peak)));
-    fields.push(("copies_live".into(), int(s.copies_live)));
-    fields.push(("copies_peak".into(), int(s.copies_peak)));
-    fields.push(("items_finished".into(), int(s.items_finished)));
-    fields.push(("finished_cost".into(), Json::Float(s.finished_cost)));
-    Json::Obj(fields)
+    Response::Stats(*s).to_json()
 }
 
 /// Wraps a `metrics/1` document in a response line.
 pub fn metrics_response(doc: Json) -> Json {
-    let mut fields = head("metrics");
-    fields.push(("metrics".into(), doc));
-    Json::Obj(fields)
+    Response::Metrics(doc).to_json()
 }
 
 /// Renders a per-line error (the daemon keeps serving after these).
 pub fn error_response(detail: &str) -> Json {
-    let mut fields = head("error");
-    fields.push(("detail".into(), Json::Str(detail.into())));
-    Json::Obj(fields)
+    Response::Error(detail).to_json()
 }
 
 /// Renders the farewell line.
 pub fn bye_response() -> Json {
-    Json::Obj(head("bye"))
+    Response::Bye.to_json()
 }
 
 fn need_u64(doc: &Json, kind: &str, key: &str) -> Result<(), String> {
@@ -390,6 +565,66 @@ mod tests {
             r#"{"op":"finish"}"#,
         ] {
             assert!(parse_request(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn echoed_input_is_cut_to_a_bounded_prefix() {
+        let long = format!(r#"{{"op":"{}"}}"#, "a".repeat(400_000));
+        let t0 = std::time::Instant::now();
+        let err = parse_request(&long).unwrap_err();
+        assert!(t0.elapsed().as_secs_f64() < 2.0, "{:?}", t0.elapsed());
+        assert_eq!(err, format!("unknown op {:?}", "a".repeat(64) + "…"));
+        // The cut backs off to a char boundary (✓ is 3 bytes: 21 fit).
+        let wide = format!(r#"{{"op":"{}"}}"#, "✓".repeat(100));
+        let err = parse_request(&wide).unwrap_err();
+        assert_eq!(err, format!("unknown op {:?}", "✓".repeat(21) + "…"));
+        assert_eq!(echo(&"b".repeat(64)), "b".repeat(64));
+    }
+
+    #[test]
+    fn direct_text_is_the_compact_rendering_of_the_tree() {
+        use mcc_core::online::ServeAction;
+        let responses = [
+            Response::Decision(ServeDecision {
+                item: u64::MAX,
+                t: 1e21,
+                server: ServerId(u32::MAX),
+                action: ServeAction::Transfer { from: ServerId(0) },
+                latency_ns: 0,
+            }),
+            Response::Decision(ServeDecision {
+                item: 0,
+                t: 3.0,
+                server: ServerId(1),
+                action: ServeAction::Deferred,
+                latency_ns: u64::MAX,
+            }),
+            Response::Shed {
+                item: 5,
+                reason: ShedReason::BadServer,
+            },
+            Response::Replayed(ReplayNote {
+                item: 1,
+                server: ServerId(2),
+                t: 1e-7,
+                at: 0.1 + 0.2,
+            }),
+            Response::Stats(EngineStats {
+                finished_cost: 123456789.0,
+                ..EngineStats::default()
+            }),
+            Response::Metrics(Json::Obj(vec![(
+                "a\"b".into(),
+                Json::Arr(vec![Json::Null, Json::Float(2.0), Json::Int(-3)]),
+            )])),
+            Response::Error("quote \" slash \\ nl \n cr \r tab \t nul \u{0} bell \u{7} ü ✓"),
+            Response::Bye,
+        ];
+        for r in &responses {
+            let mut text = String::new();
+            r.write_line(&mut text);
+            assert_eq!(text, r.to_json().to_string_compact() + "\n");
         }
     }
 

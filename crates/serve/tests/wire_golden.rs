@@ -13,7 +13,7 @@ use mcc_obs::Sink as _;
 use mcc_serve::engine::{EngineStats, ItemReport, ReplayNote, ServeDecision};
 use mcc_serve::wire::{
     bye_response, decision_response, error_response, metrics_response, parse_request,
-    replayed_response, report_response, shed_response, stats_response, validate_response,
+    replayed_response, report_response, shed_response, stats_response, validate_response, Response,
     WireRequest,
 };
 use mcc_serve::ShedReason;
@@ -22,7 +22,7 @@ const GOLDEN_RESPONSES: &str = include_str!("data/serve1_golden.jsonl");
 const GOLDEN_REQUESTS: &str = include_str!("data/serve1_requests.jsonl");
 
 /// The canonical example responses, one per kind, in golden-file order.
-fn canonical_responses() -> Vec<Json> {
+fn canonical() -> Vec<Response<'static>> {
     let cache = ServeDecision {
         item: 1,
         t: 0.5,
@@ -48,18 +48,24 @@ fn canonical_responses() -> Vec<Json> {
     reg.add(mcc_obs::Counter::ServeRequests, 3);
     reg.observe(mcc_obs::Hist::ServeDecisionNanos, 850);
     vec![
-        decision_response(&cache),
-        decision_response(&transfer),
-        decision_response(&deferred),
-        shed_response(99, ShedReason::MaxItems),
-        shed_response(1, ShedReason::TimeRegression),
-        replayed_response(&ReplayNote {
+        Response::Decision(cache),
+        Response::Decision(transfer),
+        Response::Decision(deferred),
+        Response::Shed {
+            item: 99,
+            reason: ShedReason::MaxItems,
+        },
+        Response::Shed {
+            item: 1,
+            reason: ShedReason::TimeRegression,
+        },
+        Response::Replayed(ReplayNote {
             item: 2,
             server: ServerId(0),
             t: 1.25,
             at: 2.5,
         }),
-        report_response(&ItemReport {
+        Response::Report(ItemReport {
             item: 1,
             requests: 7,
             cache_hits: 3,
@@ -69,7 +75,7 @@ fn canonical_responses() -> Vec<Json> {
             caching_cost: 5.4,
             transfer_cost: 3.5,
         }),
-        stats_response(&EngineStats {
+        Response::Stats(EngineStats {
             requests: 7,
             cache_hits: 3,
             transfers: 2,
@@ -84,10 +90,27 @@ fn canonical_responses() -> Vec<Json> {
             items_finished: 1,
             finished_cost: 8.9,
         }),
-        metrics_response(reg.snapshot().to_json()),
-        error_response("bad json: truncated"),
-        bye_response(),
+        Response::Metrics(reg.snapshot().to_json()),
+        Response::Error("bad json: truncated"),
+        Response::Bye,
     ]
+}
+
+/// The canonical responses rendered through the typed builders.
+fn canonical_responses() -> Vec<Json> {
+    canonical()
+        .into_iter()
+        .map(|r| match r {
+            Response::Decision(d) => decision_response(&d),
+            Response::Shed { item, reason } => shed_response(item, reason),
+            Response::Replayed(n) => replayed_response(&n),
+            Response::Report(r) => report_response(&r),
+            Response::Stats(s) => stats_response(&s),
+            Response::Metrics(doc) => metrics_response(doc),
+            Response::Error(detail) => error_response(detail),
+            Response::Bye => bye_response(),
+        })
+        .collect()
 }
 
 /// Rewrites the golden responses file from the builders. Run explicitly
@@ -126,6 +149,22 @@ fn golden_responses_match_the_builders_byte_for_byte() {
             "golden line drifted from the builder output"
         );
     }
+}
+
+#[test]
+fn golden_responses_match_the_direct_renderer_byte_for_byte() {
+    // The daemon renders responses straight into its output buffer; that
+    // text must be the golden bytes too, newline included.
+    let mut text = String::new();
+    for r in canonical() {
+        r.write_line(&mut text);
+    }
+    let golden: String = GOLDEN_RESPONSES
+        .lines()
+        .filter(|l| !l.trim().is_empty())
+        .map(|l| format!("{l}\n"))
+        .collect();
+    assert_eq!(text, golden);
 }
 
 #[test]
