@@ -16,8 +16,9 @@
 //! With capacity enforcement on, workers also harvest every item's copy
 //! residency intervals through [`RunRequest::run_units_observed`] —
 //! borrowed out of the run record between finalize and reset, never
-//! recomputed — and phase 2 (the private `capacity` module) replays
-//! them against the per-server slot budgets.
+//! recomputed — into one event bucket per server. Phase 2 (the private
+//! `capacity` module) then sweeps each server's timeline against its
+//! slot budget, dealing the servers across the job's threads.
 
 use std::panic;
 use std::thread;
@@ -30,9 +31,7 @@ use mcc_simnet::{
 };
 use mcc_workloads::{CommonParams, InstanceBuf, PoissonWorkload, Workload};
 
-use crate::capacity::{
-    capacity_sweep, CapacityOutcome, CapacityScratch, CopyEvent, KIND_END, KIND_START,
-};
+use crate::capacity::{capacity_sweep, CapacityOutcome, CapacityScratch, ServerBuckets};
 use crate::spec::FleetSpec;
 use crate::state::{FleetSummary, ItemStates};
 
@@ -49,10 +48,10 @@ const SCATTER_CHUNK: usize = 256;
 const FLEET_BATCH_UNITS: usize = 64;
 
 /// Everything [`run_fleet`] reuses run to run: the SoA columns, the
-/// per-worker run workspaces and result buffers, the capacity-sweep
-/// scratch and the typed findings. Warm reuse at a stable fleet shape
-/// performs zero heap allocations on the simulation path (enforced by
-/// `tests/alloc_free.rs`).
+/// per-worker run workspaces, result buffers and event harvests, the
+/// capacity-sweep scratch and the typed findings. Warm reuse at a
+/// stable fleet shape performs zero heap allocations on the simulation
+/// path (enforced by `tests/alloc_free.rs`).
 ///
 /// The single-threaded path also caches one built policy, so a
 /// workspace is per-(mode, factory): hand a *different* factory to
@@ -62,6 +61,8 @@ pub struct FleetWorkspace {
     states: ItemStates,
     seeds: Vec<u64>,
     slots: Vec<WorkerSlot>,
+    /// Per-worker residency events, one bucket per server.
+    harvest: Vec<ServerBuckets>,
     /// Cached policy for the single-threaded inline path only —
     /// [`RunPolicy`] is not `Send`, so multi-threaded workers build
     /// theirs inside the spawn (one build per shard per run).
@@ -94,14 +95,12 @@ impl FleetWorkspace {
     }
 }
 
-/// One worker's private storage: a warm [`RunWorkspace`], the staged
-/// results of the current scatter chunk, and the shard's residency
-/// events.
+/// One worker's private storage: a warm [`RunWorkspace`] and the
+/// staged results of the current scatter chunk.
 #[derive(Default)]
 struct WorkerSlot {
     ws: Option<RunWorkspace>,
     out: Vec<SeedResult>,
-    events: Vec<CopyEvent>,
 }
 
 /// A shard's disjoint `&mut` window into every phase-1 column (the
@@ -219,22 +218,21 @@ fn shard_len(items: usize, threads: usize) -> usize {
 
 /// Runs one shard: draws the shard's `(μ, λ)` columns, streams its items
 /// through the batched runner in [`SCATTER_CHUNK`] rounds, scatters
-/// results into the SoA window and (with capacity on) harvests residency
-/// events. `cached` is the single-thread policy slot; workers pass
-/// `None` and build a local policy.
+/// results into the SoA window and, when `harvest` is given, files every
+/// residency interval into it. `cached` is the single-thread policy
+/// slot; workers pass `None` and build a local policy.
 #[allow(clippy::too_many_arguments)]
 fn shard_body(
     spec: &FleetSpec,
     factory: &PolicyFactory,
     cached: Option<&mut Option<RunPolicy>>,
     slot: &mut WorkerSlot,
+    mut harvest: Option<&mut ServerBuckets>,
     cols: ShardCols<'_>,
     base: u64,
     seeds: &[u64],
-    collect_events: bool,
     sink: &dyn Sink,
 ) {
-    slot.events.clear();
     let ShardCols {
         mu,
         lambda,
@@ -272,28 +270,16 @@ fn shard_body(
     };
     let policy = policy_slot.get_or_insert_with(|| req.policy(factory));
     let out = &mut slot.out;
-    let events = &mut slot.events;
+    if let Some(h) = harvest.as_deref_mut() {
+        h.reset(spec.servers);
+    }
     for chunk in seeds.chunks(SCATTER_CHUNK) {
         out.clear();
-        if collect_events {
+        if let Some(h) = harvest.as_deref_mut() {
             req.run_units_observed(policy, &src, chunk, out, |r, rec| {
                 let item = r.seed as u32;
                 for c in &rec.records {
-                    let server = c.server.index() as u32;
-                    events.push(CopyEvent {
-                        time: c.from,
-                        last_touch: c.last_touch,
-                        item,
-                        server,
-                        kind: KIND_START,
-                    });
-                    events.push(CopyEvent {
-                        time: c.to,
-                        last_touch: c.last_touch,
-                        item,
-                        server,
-                        kind: KIND_END,
-                    });
+                    h.push(item, c.server.index(), c.from, c.last_touch, c.to);
                 }
             });
         } else {
@@ -330,7 +316,6 @@ pub fn run_fleet(
     let items = spec.items;
     ws.states.reset(items);
     ws.findings.clear();
-    ws.scratch.events.clear();
     if ws.seeds.len() != items {
         ws.seeds.clear();
         ws.seeds.extend(0..items as u64);
@@ -342,7 +327,12 @@ pub fn run_fleet(
     let threads = resolve_threads(spec.threads, items);
     if ws.slots.len() < threads {
         ws.slots.resize_with(threads, WorkerSlot::default);
+        ws.harvest.resize_with(threads, ServerBuckets::default);
     }
+    // Workers that ran this call: `shard_len` rounds shards up to whole
+    // chunks, so fewer than `threads` shards can cover the fleet, and an
+    // idle worker's harvest still holds an earlier call's events.
+    let mut workers = 0;
     {
         let _span = Span::start(sink, Counter::FleetSimNanos);
         if threads == 1 {
@@ -351,20 +341,21 @@ pub fn run_fleet(
                 factory,
                 Some(&mut ws.policy1),
                 &mut ws.slots[0],
+                collect.then_some(&mut ws.harvest[0]),
                 ShardCols::full(&mut ws.states),
                 0,
                 &ws.seeds,
-                collect,
                 sink,
             );
+            workers = 1;
         } else {
             let shard = shard_len(items, threads);
-            let slots = &mut ws.slots;
+            let slots = ws.slots.iter_mut().zip(ws.harvest.iter_mut());
             let mut cols = ShardCols::full(&mut ws.states);
             let mut seeds = ws.seeds.as_slice();
             thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(threads);
-                for slot in slots.iter_mut().take(threads) {
+                for (slot, harvest) in slots.take(threads) {
                     let take = shard.min(seeds.len());
                     if take == 0 {
                         break;
@@ -374,8 +365,10 @@ pub fn run_fleet(
                     let (s_head, s_tail) = seeds.split_at(take);
                     seeds = s_tail;
                     let base = s_head[0];
+                    let harvest = collect.then_some(harvest);
+                    workers += 1;
                     handles.push(scope.spawn(move || {
-                        shard_body(spec, factory, None, slot, head, base, s_head, collect, sink);
+                        shard_body(spec, factory, None, slot, harvest, head, base, s_head, sink);
                     }));
                 }
                 for h in handles {
@@ -390,13 +383,11 @@ pub fn run_fleet(
     let mut outcome = CapacityOutcome::default();
     if let Some(cap) = spec.capacity {
         let _span = Span::start(sink, Counter::FleetCapacityNanos);
-        for slot in ws.slots.iter().take(threads) {
-            ws.scratch.events.extend_from_slice(&slot.events);
-        }
         outcome = capacity_sweep(
             spec,
             cap,
-            items,
+            threads,
+            &ws.harvest[..workers],
             &mut ws.scratch,
             &mut ws.states.evictions,
             &mut ws.findings,
@@ -666,6 +657,43 @@ mod tests {
         let _ = run_fleet(&other, &f, &mut ws, noop()).unwrap();
         let b = run_fleet(&spec, &f, &mut ws, noop()).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn shrinking_reuse_matches_a_fresh_run() {
+        // 40 items on 4 threads are shards of 16, 16 and 8: the fourth
+        // worker sits idle, and its harvest from the 4,096-item run must
+        // not leak into the sweep (likewise 72 and 136 items on 8).
+        let f = sc();
+        for (threads, small) in [(4usize, 40usize), (8, 72), (8, 136)] {
+            let big = FleetSpec {
+                items: 4096,
+                capacity: Some(8),
+                eviction: EvictionPolicy::Lru { price: 0.5 },
+                threads,
+                ..spec_small()
+            };
+            let shrunk = FleetSpec {
+                items: small,
+                ..big
+            };
+            let mut ws = FleetWorkspace::new();
+            run_fleet(&big, &f, &mut ws, noop()).unwrap();
+            let reused = run_fleet(&shrunk, &f, &mut ws, noop()).unwrap();
+            for fresh_threads in [1, threads] {
+                let mut fresh_ws = FleetWorkspace::new();
+                let fresh_spec = FleetSpec {
+                    threads: fresh_threads,
+                    ..shrunk
+                };
+                let fresh = run_fleet(&fresh_spec, &f, &mut fresh_ws, noop()).unwrap();
+                assert_eq!(
+                    reused, fresh,
+                    "{small} items after 4096 on {threads} threads"
+                );
+                assert_eq!(ws.states().evictions, fresh_ws.states().evictions);
+            }
+        }
     }
 
     #[test]

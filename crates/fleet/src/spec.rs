@@ -62,7 +62,8 @@ pub struct FleetSpec {
     pub capacity: Option<usize>,
     /// What to do when a slot is requested on a full server.
     pub eviction: EvictionPolicy,
-    /// Worker threads for the simulation phase (`0` = hardware threads).
+    /// Worker threads for the simulation phase and capacity sweepers
+    /// (`0` = hardware threads).
     pub threads: usize,
     /// Whether every item's run is verified by the streaming auditor
     /// (`true`, the default — per-item finding counts land in the
