@@ -167,9 +167,6 @@ fn perturb_into(
     if total == 0 {
         return false;
     }
-    let mut crashes = plan.crashes().to_vec();
-    let mut partitions = plan.partitions().to_vec();
-    let mut brownouts = plan.brownouts().to_vec();
     let pick = rng.below(total);
     let delta = rng.signed_unit() * horizon * 0.08;
     let retarget = rng.below(3) == 0 && servers > 1;
@@ -179,41 +176,43 @@ fn perturb_into(
         *from = start;
         *to = start + len;
     };
-    if pick < nc {
-        let w = &mut crashes[pick];
-        if retarget {
-            w.server = ServerId::from_index(rng.below(servers));
-        } else {
-            shift(&mut w.from, &mut w.to);
-        }
-    } else if pick < nc + np {
-        let w = &mut partitions[pick - nc];
-        if retarget {
-            // Redraw the cut: nonzero mask below 2^servers so both sides
-            // are plausibly populated.
-            w.mask = (rng.next_u64() % (1u64 << servers.min(63))).max(1);
-        } else {
-            shift(&mut w.from, &mut w.to);
-        }
-    } else {
-        let w = &mut brownouts[pick - nc - np];
-        if retarget {
-            w.server = ServerId::from_index(rng.below(servers));
-        } else {
-            shift(&mut w.from, &mut w.to);
-        }
-    }
     scratch.assign(
-        &crashes,
-        &partitions,
-        &brownouts,
+        |crashes, partitions, brownouts| {
+            crashes.extend_from_slice(plan.crashes());
+            partitions.extend_from_slice(plan.partitions());
+            brownouts.extend_from_slice(plan.brownouts());
+            if pick < nc {
+                let w = &mut crashes[pick];
+                if retarget {
+                    w.server = ServerId::from_index(rng.below(servers));
+                } else {
+                    shift(&mut w.from, &mut w.to);
+                }
+            } else if pick < nc + np {
+                let w = &mut partitions[pick - nc];
+                if retarget {
+                    // Redraw the cut: nonzero mask below 2^servers so both
+                    // sides are plausibly populated.
+                    w.mask = (rng.next_u64() % (1u64 << servers.min(63))).max(1);
+                } else {
+                    shift(&mut w.from, &mut w.to);
+                }
+            } else {
+                let w = &mut brownouts[pick - nc - np];
+                if retarget {
+                    w.server = ServerId::from_index(rng.below(servers));
+                } else {
+                    shift(&mut w.from, &mut w.to);
+                }
+            }
+            plan.bursts()
+        },
         plan.fail_seed(),
         plan.fail_prob(),
         plan.retry_budget(),
         plan.backoff_base(),
         plan.mean_delay(),
         plan.queue_cap(),
-        plan.bursts(),
     );
     true
 }

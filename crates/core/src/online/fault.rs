@@ -165,12 +165,24 @@ pub struct RetryDraw {
 /// auditors flag rather than panics.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Outages, sorted by crash instant.
+    /// Outages, sorted by (crash instant, server); each server's windows
+    /// are disjoint (see `normalize_crashes`).
     crashes: Vec<CrashWindow>,
+    /// Positions into `crashes` sorted by (server, crash instant): one
+    /// contiguous, binary-searchable run per server.
+    crash_by_server: Vec<u32>,
+    /// Positions into `crashes` sorted by (recovery instant, server).
+    crash_by_end: Vec<u32>,
     /// Partitions, sorted by start instant.
     partitions: Vec<PartitionWindow>,
+    /// `partition_reach[i]`: the latest heal among `partitions[..=i]`.
+    partition_reach: Vec<f64>,
+    /// Positions into `partitions` sorted by heal instant.
+    partition_by_end: Vec<u32>,
     /// Brownouts, sorted by start instant.
     brownouts: Vec<BrownoutWindow>,
+    /// `brownout_reach[i]`: the latest recovery among `brownouts[..=i]`.
+    brownout_reach: Vec<f64>,
     /// Seed for the deterministic transfer-failure/delay/backoff draws.
     fail_seed: u64,
     /// Per-attempt transfer failure probability in `[0, 1)`.
@@ -208,13 +220,33 @@ fn clamp_nonneg(x: f64) -> f64 {
     }
 }
 
-/// Coalesces overlapping or touching windows on the same server, leaving
-/// the list sorted by (from, server, to). Correlated bursts can land on
-/// top of base crash windows, but every consumer of the plan — the
-/// wrapper's event stream, both auditors' crash geometry — assumes each
-/// server's downtime windows are disjoint, so the constructors normalize
-/// here. Allocation-free: two in-place unstable sorts and a compaction.
-fn coalesce_crashes(crashes: &mut Vec<CrashWindow>) {
+/// Orders `x` like [`f64::total_cmp`] when compared as an unsigned integer.
+fn total_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// Coalesces overlapping or touching windows on the same server, puts the
+/// list in plan order — (from, server) — and fills both position indexes.
+/// Correlated bursts can land on top of base crash windows, but every
+/// consumer of the plan — its binary-searched queries, the wrapper's
+/// event cursors, both auditors' crash geometry — assumes each server's
+/// downtime windows are disjoint, so the constructors normalize here.
+///
+/// Allocation-free once warm. Coalescing leaves the windows in (server,
+/// from) order; rather than sorting the windows again, one key sort of
+/// their positions gives plan order ((from, server) keys are unique once
+/// coalesced), its inverse is the by-server index, and the windows then
+/// move into plan order in place, one permutation cycle at a time.
+fn normalize_crashes(
+    crashes: &mut Vec<CrashWindow>,
+    by_server: &mut Vec<u32>,
+    by_end: &mut Vec<u32>,
+) {
     crashes.sort_unstable_by(|a, b| {
         a.server
             .cmp(&b.server)
@@ -235,12 +267,68 @@ fn coalesce_crashes(crashes: &mut Vec<CrashWindow>) {
         }
         crashes.truncate(w + 1);
     }
-    crashes.sort_unstable_by(|a, b| {
-        a.from
-            .total_cmp(&b.from)
-            .then(a.server.cmp(&b.server))
-            .then(a.to.total_cmp(&b.to))
+    // The by-end buffer holds the plan order until the last step.
+    let order = by_end;
+    fill_positions(order, crashes.len());
+    order.sort_unstable_by_key(|&q| {
+        let w = &crashes[q as usize];
+        (total_key(w.from), w.server)
     });
+    by_server.clear();
+    by_server.resize(crashes.len(), 0);
+    for (pos, &q) in order.iter().enumerate() {
+        by_server[q as usize] = pos as u32;
+    }
+    // Plan slot `pos` takes by-server window `order[pos]`; a visited slot
+    // is marked `MOVED`.
+    const MOVED: u32 = u32::MAX;
+    for start in 0..crashes.len() {
+        if order[start] == MOVED {
+            continue;
+        }
+        let first = crashes[start];
+        let mut pos = start;
+        loop {
+            let src = order[pos] as usize;
+            order[pos] = MOVED;
+            if src == start {
+                crashes[pos] = first;
+                break;
+            }
+            crashes[pos] = crashes[src];
+            pos = src;
+        }
+    }
+    fill_positions(order, crashes.len());
+    order.sort_unstable_by_key(|&p| {
+        let w = &crashes[p as usize];
+        (total_key(w.to), w.server)
+    });
+}
+
+/// Refills `index` with the positions `0..len`.
+fn fill_positions(index: &mut Vec<u32>, len: usize) {
+    index.clear();
+    // Positions fit `u32`: 2^32 windows would need ~100 GiB of storage.
+    index.extend((0..len).map(|i| i as u32));
+}
+
+/// Refills `reach` with the running maximum of `ends`.
+fn running_reach(reach: &mut Vec<f64>, ends: impl Iterator<Item = f64>) {
+    reach.clear();
+    let mut latest = f64::NEG_INFINITY;
+    reach.extend(ends.map(|to| {
+        latest = latest.max(to);
+        latest
+    }));
+}
+
+/// `windows[..started]` (sorted by start, `reach` their running maximum
+/// end) less the prefix that all ended by `after`: the only windows of
+/// the first `started` that can still be open after `after`. Windows may
+/// overlap, so callers test each one exactly; the slice keeps plan order.
+fn still_open<'a, W>(windows: &'a [W], reach: &[f64], started: usize, after: f64) -> &'a [W] {
+    &windows[reach[..started].partition_point(|&r| r <= after)..started]
 }
 
 impl FaultPlan {
@@ -248,8 +336,13 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan {
             crashes: Vec::new(),
+            crash_by_server: Vec::new(),
+            crash_by_end: Vec::new(),
             partitions: Vec::new(),
+            partition_reach: Vec::new(),
+            partition_by_end: Vec::new(),
             brownouts: Vec::new(),
+            brownout_reach: Vec::new(),
             fail_seed: 0,
             fail_prob: 0.0,
             retry_budget: 0,
@@ -267,52 +360,85 @@ impl FaultPlan {
     /// brownouts start empty — attach them with
     /// [`FaultPlan::with_partitions`] / [`FaultPlan::with_brownouts`].
     pub fn new(
-        mut crashes: Vec<CrashWindow>,
+        crashes: Vec<CrashWindow>,
         fail_seed: u64,
         fail_prob: f64,
         retry_budget: u32,
         mean_delay: f64,
     ) -> Self {
-        crashes.retain(|w| valid_window(w.from, w.to));
-        coalesce_crashes(&mut crashes);
-        FaultPlan {
+        let mut plan = FaultPlan {
             crashes,
-            partitions: Vec::new(),
-            brownouts: Vec::new(),
             fail_seed,
             fail_prob: clamp_prob(fail_prob),
             retry_budget,
-            backoff_base: 0.0,
             mean_delay: clamp_nonneg(mean_delay),
-            queue_cap: 64,
-            bursts: 0,
-        }
+            ..FaultPlan::none()
+        };
+        plan.index_crashes();
+        plan
     }
 
     /// Attaches partition windows (validated and sorted like crashes).
-    pub fn with_partitions(mut self, mut partitions: Vec<PartitionWindow>) -> Self {
-        partitions.retain(|w| valid_window(w.from, w.to));
-        partitions.sort_by(|a, b| {
+    pub fn with_partitions(mut self, partitions: Vec<PartitionWindow>) -> Self {
+        self.partitions = partitions;
+        self.index_partitions();
+        self
+    }
+
+    /// Attaches brownout windows (validated, `factor ≤ 1` dropped, sorted).
+    pub fn with_brownouts(mut self, brownouts: Vec<BrownoutWindow>) -> Self {
+        self.brownouts = brownouts;
+        self.index_brownouts();
+        self
+    }
+
+    /// Validates, coalesces and sorts the crash windows in place, then
+    /// rebuilds the by-server and by-end position indexes.
+    fn index_crashes(&mut self) {
+        self.crashes.retain(|w| valid_window(w.from, w.to));
+        normalize_crashes(
+            &mut self.crashes,
+            &mut self.crash_by_server,
+            &mut self.crash_by_end,
+        );
+    }
+
+    /// Validates and sorts the partition windows in place, then rebuilds
+    /// their running reach and by-heal index.
+    fn index_partitions(&mut self) {
+        self.partitions.retain(|w| valid_window(w.from, w.to));
+        self.partitions.sort_unstable_by(|a, b| {
             a.from
                 .total_cmp(&b.from)
                 .then(a.to.total_cmp(&b.to))
                 .then(a.mask.cmp(&b.mask))
         });
-        self.partitions = partitions;
-        self
+        running_reach(
+            &mut self.partition_reach,
+            self.partitions.iter().map(|w| w.to),
+        );
+        fill_positions(&mut self.partition_by_end, self.partitions.len());
+        let partitions = &self.partitions;
+        self.partition_by_end
+            .sort_unstable_by_key(|&p| (total_key(partitions[p as usize].to), p));
     }
 
-    /// Attaches brownout windows (validated, `factor ≤ 1` dropped, sorted).
-    pub fn with_brownouts(mut self, mut brownouts: Vec<BrownoutWindow>) -> Self {
-        brownouts.retain(|w| valid_window(w.from, w.to) && w.factor.is_finite() && w.factor > 1.0);
-        brownouts.sort_by(|a, b| {
+    /// Validates (dropping `factor ≤ 1`) and sorts the brownout windows in
+    /// place, then rebuilds their running reach.
+    fn index_brownouts(&mut self) {
+        self.brownouts
+            .retain(|w| valid_window(w.from, w.to) && w.factor.is_finite() && w.factor > 1.0);
+        self.brownouts.sort_unstable_by(|a, b| {
             a.from
                 .total_cmp(&b.from)
                 .then(a.server.cmp(&b.server))
                 .then(a.to.total_cmp(&b.to))
+                .then(a.factor.total_cmp(&b.factor))
         });
-        self.brownouts = brownouts;
-        self
+        running_reach(
+            &mut self.brownout_reach,
+            self.brownouts.iter().map(|w| w.to),
+        );
     }
 
     /// Sets the retry backoff base wait (`0` disables backoff waits).
@@ -327,62 +453,55 @@ impl FaultPlan {
         self
     }
 
-    /// Refills this plan in place from explicit parts — the
-    /// capacity-reusing twin of [`FaultPlan::new`] + builders (same window
-    /// validation, same clamping). A warm plan buffer absorbs a new
-    /// expansion without touching the allocator unless a window count
-    /// grows past its capacity.
-    #[allow(clippy::too_many_arguments)] // the one generator call site fills every knob
+    /// Refills this plan in place — the capacity-reusing twin of
+    /// [`FaultPlan::new`] + builders (same window validation, same
+    /// clamping). `fill` pushes the raw windows straight into the plan's
+    /// own emptied crash, partition and brownout buffers and returns the
+    /// number of correlated bursts it expanded; the plan then validates,
+    /// coalesces, sorts and indexes them where they lie. A warm plan
+    /// absorbs a new expansion without touching the allocator unless a
+    /// window count grows past its capacity.
+    #[allow(clippy::too_many_arguments)] // the generator call sites fill every knob
     pub fn assign(
         &mut self,
-        crashes: &[CrashWindow],
-        partitions: &[PartitionWindow],
-        brownouts: &[BrownoutWindow],
+        fill: impl FnOnce(
+            &mut Vec<CrashWindow>,
+            &mut Vec<PartitionWindow>,
+            &mut Vec<BrownoutWindow>,
+        ) -> u32,
         fail_seed: u64,
         fail_prob: f64,
         retry_budget: u32,
         backoff_base: f64,
         mean_delay: f64,
         queue_cap: u32,
-        bursts: u32,
     ) {
         self.crashes.clear();
-        self.crashes.extend_from_slice(crashes);
-        self.crashes.retain(|w| valid_window(w.from, w.to));
-        coalesce_crashes(&mut self.crashes);
         self.partitions.clear();
-        self.partitions.extend_from_slice(partitions);
-        self.partitions.retain(|w| valid_window(w.from, w.to));
-        self.partitions.sort_unstable_by(|a, b| {
-            a.from
-                .total_cmp(&b.from)
-                .then(a.to.total_cmp(&b.to))
-                .then(a.mask.cmp(&b.mask))
-        });
         self.brownouts.clear();
-        self.brownouts.extend_from_slice(brownouts);
-        self.brownouts
-            .retain(|w| valid_window(w.from, w.to) && w.factor.is_finite() && w.factor > 1.0);
-        self.brownouts.sort_unstable_by(|a, b| {
-            a.from
-                .total_cmp(&b.from)
-                .then(a.server.cmp(&b.server))
-                .then(a.to.total_cmp(&b.to))
-        });
+        self.bursts = fill(&mut self.crashes, &mut self.partitions, &mut self.brownouts);
+        self.index_crashes();
+        self.index_partitions();
+        self.index_brownouts();
         self.fail_seed = fail_seed;
         self.fail_prob = clamp_prob(fail_prob);
         self.retry_budget = retry_budget;
         self.backoff_base = clamp_nonneg(backoff_base);
         self.mean_delay = clamp_nonneg(mean_delay);
         self.queue_cap = queue_cap;
-        self.bursts = bursts;
     }
 
-    /// Deep-copies `other` into this plan, reusing the window buffers.
+    /// Deep-copies `other` into this plan, reusing the window and index
+    /// buffers.
     pub fn copy_from(&mut self, other: &FaultPlan) {
         self.crashes.clone_from(&other.crashes);
+        self.crash_by_server.clone_from(&other.crash_by_server);
+        self.crash_by_end.clone_from(&other.crash_by_end);
         self.partitions.clone_from(&other.partitions);
+        self.partition_reach.clone_from(&other.partition_reach);
+        self.partition_by_end.clone_from(&other.partition_by_end);
         self.brownouts.clone_from(&other.brownouts);
+        self.brownout_reach.clone_from(&other.brownout_reach);
         self.fail_seed = other.fail_seed;
         self.fail_prob = other.fail_prob;
         self.retry_budget = other.retry_budget;
@@ -406,7 +525,8 @@ impl FaultPlan {
         !self.crashes.is_empty()
     }
 
-    /// The outage windows, sorted by crash instant.
+    /// The outage windows, sorted by (crash instant, server); each
+    /// server's windows are disjoint.
     pub fn crashes(&self) -> &[CrashWindow] {
         &self.crashes
     }
@@ -456,36 +576,50 @@ impl FaultPlan {
         self.mean_delay
     }
 
-    /// Whether `server` is down at instant `t`.
+    /// Positions of `server`'s crash windows, in crash order (two binary
+    /// searches over the by-server index).
+    fn server_crashes(&self, server: ServerId) -> &[u32] {
+        let by = &self.crash_by_server;
+        let lo = by.partition_point(|&p| self.crashes[p as usize].server < server);
+        let len = by[lo..].partition_point(|&p| self.crashes[p as usize].server == server);
+        &by[lo..lo + len]
+    }
+
+    /// Whether `server` is down at instant `t`. `O(log w)`: the server's
+    /// windows are disjoint, so only the latest one starting at or before
+    /// `t` can cover it.
     pub fn is_down(&self, server: ServerId, t: f64) -> bool {
-        self.crashes
-            .iter()
-            .take_while(|w| w.from <= t)
-            .any(|w| w.server == server && t < w.to)
+        let own = self.server_crashes(server);
+        let k = own.partition_point(|&p| self.crashes[p as usize].from <= t);
+        k > 0 && t < self.crashes[own[k - 1] as usize].to
+    }
+
+    /// The partitions that can cover instant `t`, in plan order.
+    fn partitions_at(&self, t: f64) -> &[PartitionWindow] {
+        let started = self.partitions.partition_point(|w| w.from <= t);
+        still_open(&self.partitions, &self.partition_reach, started, t)
     }
 
     /// Whether a transfer `a → b` is illegal at `t` because an active
     /// partition puts the two servers on opposite sides.
     pub fn partitioned(&self, a: ServerId, b: ServerId, t: f64) -> bool {
-        self.partitions
+        self.partitions_at(t)
             .iter()
-            .take_while(|w| w.from <= t)
             .any(|w| t < w.to && w.side(a) != w.side(b))
     }
 
     /// Whether any partition window covers instant `t`.
     pub fn partition_active(&self, t: f64) -> bool {
-        self.partitions
-            .iter()
-            .take_while(|w| w.from <= t)
-            .any(|w| t < w.to)
+        self.partitions_at(t).iter().any(|w| t < w.to)
     }
 
     /// Summed brownout excess `Σ (factor − 1)` over windows degrading
-    /// `server` at instant `t` (overlapping brownouts stack additively).
+    /// `server` at instant `t` (overlapping brownouts stack additively,
+    /// summed in plan order).
     pub fn brownout_excess(&self, server: ServerId, t: f64) -> f64 {
+        let started = self.brownouts.partition_point(|w| w.from <= t);
         let mut excess = 0.0;
-        for w in self.brownouts.iter().take_while(|w| w.from <= t) {
+        for w in still_open(&self.brownouts, &self.brownout_reach, started, t) {
             if w.server == server && t < w.to {
                 excess += w.factor - 1.0;
             }
@@ -493,12 +627,28 @@ impl FaultPlan {
         excess
     }
 
-    /// The first crash of `server` strictly after `t`, if any.
+    /// The brownouts that can overlap `[from, to]` with positive length
+    /// (every other window has `min(to, w.to) − max(from, w.from) ≤ 0`),
+    /// in plan order. Windows may overlap each other and other servers'
+    /// windows ride along, so callers still test each one exactly.
+    pub fn brownouts_overlapping(&self, from: f64, to: f64) -> &[BrownoutWindow] {
+        // `f64::min` ignores a NaN `to`, so such an interval reaches every
+        // window's end.
+        let started = if to.is_nan() {
+            self.brownouts.len()
+        } else {
+            self.brownouts.partition_point(|w| w.from < to)
+        };
+        still_open(&self.brownouts, &self.brownout_reach, started, from)
+    }
+
+    /// The first crash of `server` strictly after `t`, if any (`O(log w)`).
     pub fn next_crash_after(&self, server: ServerId, t: f64) -> Option<f64> {
-        self.crashes
-            .iter()
-            .find(|w| w.server == server && w.from > t)
-            .map(|w| w.from)
+        let own = self.server_crashes(server);
+        let k = own.partition_point(|&p| self.crashes[p as usize].from <= t);
+        own.get(k)
+            .map(|&p| self.crashes[p as usize].from)
+            .filter(|&from| from > t)
     }
 
     /// The crash instant of the latest-starting window (`-inf` if none):
@@ -509,54 +659,52 @@ impl FaultPlan {
 
     /// Computes the **total-outage** windows — maximal positive-length
     /// spans over which *every* one of the `servers` servers is down — into
-    /// `out`, reusing the caller's scratch buffers (zero-allocation once
-    /// warm). Over these spans no live copy can exist and the wrapper's
-    /// degraded-mode queue is the only service path; the auditors waive
-    /// coverage and service findings inside them and ground the recovery
-    /// reseed at each span's end.
-    pub fn total_outages_into(
-        &self,
-        servers: usize,
-        events: &mut Vec<(f64, u8, u32)>,
-        depth: &mut Vec<u32>,
-        out: &mut Vec<(f64, f64)>,
-    ) {
+    /// `out`, reusing its buffer (zero-allocation once warm). Over these
+    /// spans no live copy can exist and the wrapper's degraded-mode queue
+    /// is the only service path; the auditors waive coverage and service
+    /// findings inside them and ground the recovery reseed at each span's
+    /// end.
+    ///
+    /// One merge of the crash onsets (plan order) with the recoveries (the
+    /// by-end index), onsets first at equal instants to match the
+    /// half-open `[from, to)` union semantics of [`FaultPlan::is_down`].
+    /// Each server's windows are disjoint, so an onset always finds its
+    /// server up and a count of down servers suffices. The spans come out
+    /// sorted and disjoint.
+    pub fn total_outages_into(&self, servers: usize, out: &mut Vec<(f64, f64)>) {
         out.clear();
         if servers == 0 {
             return;
         }
-        events.clear();
-        for w in &self.crashes {
-            if w.server.index() < servers {
-                events.push((w.from, 0, w.server.index() as u32));
-                events.push((w.to, 1, w.server.index() as u32));
-            }
-        }
-        // Starts sort before ends at equal instants, matching the
-        // half-open `[from, to)` union semantics of `is_down`.
-        events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-        depth.clear();
-        depth.resize(servers, 0);
+        let counted = |w: &&CrashWindow| w.server.index() < servers;
+        let mut onsets = self.crashes.iter().filter(counted).peekable();
+        let mut ends = self
+            .crash_by_end
+            .iter()
+            .map(|&p| &self.crashes[p as usize])
+            .filter(counted)
+            .peekable();
         let mut down = 0usize;
         let mut start = 0.0f64;
-        for &(t, kind, s) in events.iter() {
-            let s = s as usize;
-            if kind == 0 {
-                if depth[s] == 0 {
+        loop {
+            let onset_first = match (onsets.peek(), ends.peek()) {
+                (Some(on), Some(end)) => on.from.total_cmp(&end.to).is_le(),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if onset_first {
+                if let Some(w) = onsets.next() {
                     down += 1;
                     if down == servers {
-                        start = t;
+                        start = w.from;
                     }
                 }
-                depth[s] += 1;
-            } else {
-                depth[s] -= 1;
-                if depth[s] == 0 {
-                    if down == servers && t > start {
-                        out.push((start, t));
-                    }
-                    down -= 1;
+            } else if let Some(w) = ends.next() {
+                if down == servers && w.to > start {
+                    out.push((start, w.to));
                 }
+                down -= 1;
             }
         }
     }
@@ -664,9 +812,10 @@ pub fn brownout_surcharge<S: Scalar>(
     let lambda = cost.lambda.to_f64();
     let mut sur = 0.0;
     for r in &rec.records {
-        for w in plan.brownouts() {
+        let (from, to) = (r.from.to_f64(), r.to.to_f64());
+        for w in plan.brownouts_overlapping(from, to) {
             if w.server == r.server {
-                let overlap = r.to.to_f64().min(w.to) - r.from.to_f64().max(w.from);
+                let overlap = to.min(w.to) - from.max(w.from);
                 if overlap > 0.0 {
                     sur += (w.factor - 1.0) * mu * overlap;
                 }
@@ -748,7 +897,7 @@ pub struct FaultStats {
 
 /// A crash, recovery, or partition-heal instant, in the merged per-run
 /// event order.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 enum FaultEvent {
     Up { at: f64 },
     PartitionEnd { at: f64 },
@@ -763,23 +912,54 @@ impl FaultEvent {
             | FaultEvent::Down { at, .. } => at,
         }
     }
-    /// Recoveries sort before heals sort before crashes at the same
-    /// instant, so a pended replication or queue drain can land on a
-    /// server recovering exactly when another crashes.
-    fn order(&self) -> u8 {
-        match self {
-            FaultEvent::Up { .. } => 0,
-            FaultEvent::PartitionEnd { .. } => 1,
-            FaultEvent::Down { .. } => 2,
+}
+
+/// The wrapper's place in a plan's merged fault-event order, one cursor
+/// per already-sorted stream: crash onsets in plan order, recoveries
+/// through the by-end index, heals through the partitions' by-heal index.
+/// The order is (instant, kind, plan order) with recoveries before heals
+/// before crashes at one instant, so a pended replication or queue drain
+/// can land on a server recovering exactly when another crashes; crashes
+/// at one instant keep the plan's server order.
+#[derive(Copy, Clone, Debug, Default)]
+struct EventCursor {
+    down: usize,
+    up: usize,
+    heal: usize,
+}
+
+impl EventCursor {
+    /// Consumes and returns the next event if it falls at or before
+    /// `until`.
+    fn next_until(&mut self, plan: &FaultPlan, until: f64) -> Option<FaultEvent> {
+        let up = plan.crash_by_end.get(self.up).map(|&p| FaultEvent::Up {
+            at: plan.crashes[p as usize].to,
+        });
+        let heal = plan
+            .partition_by_end
+            .get(self.heal)
+            .map(|&p| FaultEvent::PartitionEnd {
+                at: plan.partitions[p as usize].to,
+            });
+        let down = plan.crashes.get(self.down).map(|w| FaultEvent::Down {
+            server: w.server,
+            at: w.from,
+        });
+        let mut next: Option<FaultEvent> = None;
+        // Strict `<` keeps the earlier kind on ties: the array is in kind
+        // order.
+        for ev in [up, heal, down].into_iter().flatten() {
+            if next.is_none_or(|n| ev.at().total_cmp(&n.at()).is_lt()) {
+                next = Some(ev);
+            }
         }
-    }
-    /// Sort tiebreak within one instant and kind (recoveries and heals
-    /// carry no server, crashes keep the plan's per-server order).
-    fn server_key(&self) -> usize {
-        match *self {
-            FaultEvent::Up { .. } | FaultEvent::PartitionEnd { .. } => 0,
-            FaultEvent::Down { server, .. } => server.index(),
+        let ev = next.filter(|ev| ev.at() <= until)?;
+        match ev {
+            FaultEvent::Up { .. } => self.up += 1,
+            FaultEvent::PartitionEnd { .. } => self.heal += 1,
+            FaultEvent::Down { .. } => self.down += 1,
         }
+        Some(ev)
     }
 }
 
@@ -795,8 +975,7 @@ pub struct FaultTolerant<P> {
     plan: FaultPlan,
     stats: FaultStats,
     lambda: f64,
-    events: Vec<FaultEvent>,
-    next_event: usize,
+    cursor: EventCursor,
     pending_replica: bool,
     bootstrapped: bool,
     /// Degraded-mode queue depth (pure accounting — deferred requests
@@ -817,8 +996,7 @@ impl<P> FaultTolerant<P> {
             plan,
             stats: FaultStats::default(),
             lambda: 0.0,
-            events: Vec::new(),
-            next_event: 0,
+            cursor: EventCursor::default(),
             pending_replica: false,
             bootstrapped: false,
             queued: 0,
@@ -845,14 +1023,15 @@ impl<P> FaultTolerant<P> {
 
     /// Mutable access to the wrapper's plan, so a caller can expand the
     /// next run's faults straight into the wrapper's buffers (no per-run
-    /// plan clone). Swap plans only between runs: the wrapper snapshots
-    /// the plan into its event stream on `reset`.
+    /// plan clone). Swap plans only between runs: the wrapper walks the
+    /// plan's sorted windows and indexes through cursors that only `reset`
+    /// rewinds.
     pub fn plan_mut(&mut self) -> &mut FaultPlan {
         &mut self.plan
     }
 
-    /// Replaces the wrapper's plan with a copy of `plan`, reusing the
-    /// existing window buffers. Only between runs, as with
+    /// Replaces the wrapper's plan with a copy of `plan` — windows and
+    /// indexes — reusing the existing buffers. Only between runs, as with
     /// [`FaultTolerant::plan_mut`].
     pub fn set_plan(&mut self, plan: &FaultPlan) {
         self.plan.copy_from(plan);
@@ -921,9 +1100,7 @@ impl<P> FaultTolerant<P> {
 
     /// Processes every crash/recovery/heal event at or before `until`.
     fn advance_faults<S: Scalar>(&mut self, rt: &mut dyn CopyOps<S>, until: f64) {
-        while self.next_event < self.events.len() && self.events[self.next_event].at() <= until {
-            let ev = self.events[self.next_event];
-            self.next_event += 1;
+        while let Some(ev) = self.cursor.next_until(&self.plan, until) {
             match ev {
                 FaultEvent::Up { at } => {
                     if rt.live_copies() == 0 {
@@ -1086,26 +1263,7 @@ impl<S: Scalar, P: OnlinePolicy<S>> OnlinePolicy<S> for FaultTolerant<P> {
         self.inner.reset(servers, cost);
         self.stats = FaultStats::default();
         self.lambda = cost.lambda.to_f64();
-        self.events.clear();
-        for w in self.plan.crashes() {
-            self.events.push(FaultEvent::Down {
-                server: w.server,
-                at: w.from,
-            });
-            self.events.push(FaultEvent::Up { at: w.to });
-        }
-        for w in self.plan.partitions() {
-            self.events.push(FaultEvent::PartitionEnd { at: w.to });
-        }
-        // Unstable but fully keyed (time, kind, server): deterministic for
-        // any plan, and no stable-sort merge buffer in the per-run reset.
-        self.events.sort_unstable_by(|a, b| {
-            a.at()
-                .total_cmp(&b.at())
-                .then(a.order().cmp(&b.order()))
-                .then(a.server_key().cmp(&b.server_key()))
-        });
-        self.next_event = 0;
+        self.cursor = EventCursor::default();
         self.pending_replica = false;
         self.bootstrapped = false;
         self.queued = 0;
@@ -1600,11 +1758,11 @@ mod tests {
             0,
             0.0,
         );
-        let (mut ev, mut depth, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        plan.total_outages_into(2, &mut ev, &mut depth, &mut out);
+        let mut out = Vec::new();
+        plan.total_outages_into(2, &mut out);
         assert_eq!(out, vec![(2.0, 4.0), (7.0, 8.0)]);
         // One server alone is always in "total outage" during its windows.
-        plan.total_outages_into(1, &mut ev, &mut depth, &mut out);
+        plan.total_outages_into(1, &mut out);
         assert_eq!(out, vec![(1.0, 4.0), (7.0, 8.0)]);
     }
 
@@ -1674,16 +1832,18 @@ mod tests {
             .with_queue_cap(16);
         let mut assigned = FaultPlan::none();
         assigned.assign(
-            &windows,
-            &partitions,
-            &brownouts,
+            |c, p, b| {
+                c.extend_from_slice(&windows);
+                p.extend_from_slice(&partitions);
+                b.extend_from_slice(&brownouts);
+                0
+            },
             9,
             1.5,
             4,
             0.5,
             -1.0,
             16,
-            0,
         );
         assert_eq!(built, assigned);
         let mut copied = FaultPlan::none();
@@ -1718,5 +1878,361 @@ mod tests {
         );
         assert!(!plan.has_crashes());
         assert!(plan.is_trivial());
+    }
+
+    // --- differential oracles: the linear scans and the sorted event list
+    // the plan's indexes and the wrapper's cursors replaced ---------------
+
+    fn is_down_scan(plan: &FaultPlan, server: ServerId, t: f64) -> bool {
+        plan.crashes()
+            .iter()
+            .take_while(|w| w.from <= t)
+            .any(|w| w.server == server && t < w.to)
+    }
+
+    fn next_crash_after_scan(plan: &FaultPlan, server: ServerId, t: f64) -> Option<f64> {
+        plan.crashes()
+            .iter()
+            .find(|w| w.server == server && w.from > t)
+            .map(|w| w.from)
+    }
+
+    fn partitioned_scan(plan: &FaultPlan, a: ServerId, b: ServerId, t: f64) -> bool {
+        plan.partitions()
+            .iter()
+            .take_while(|w| w.from <= t)
+            .any(|w| t < w.to && w.side(a) != w.side(b))
+    }
+
+    fn partition_active_scan(plan: &FaultPlan, t: f64) -> bool {
+        plan.partitions()
+            .iter()
+            .take_while(|w| w.from <= t)
+            .any(|w| t < w.to)
+    }
+
+    fn brownout_excess_scan(plan: &FaultPlan, server: ServerId, t: f64) -> f64 {
+        let mut excess = 0.0;
+        for w in plan.brownouts().iter().take_while(|w| w.from <= t) {
+            if w.server == server && t < w.to {
+                excess += w.factor - 1.0;
+            }
+        }
+        excess
+    }
+
+    fn brownout_surcharge_scan(
+        plan: &FaultPlan,
+        rec: &RunRecord<f64>,
+        cost: &CostModel<f64>,
+    ) -> f64 {
+        if plan.brownouts().is_empty() {
+            return 0.0;
+        }
+        let mut sur = 0.0;
+        for r in &rec.records {
+            for w in plan.brownouts() {
+                if w.server == r.server {
+                    let overlap = r.to.min(w.to) - r.from.max(w.from);
+                    if overlap > 0.0 {
+                        sur += (w.factor - 1.0) * cost.mu * overlap;
+                    }
+                }
+            }
+        }
+        for t in &rec.transfers {
+            let excess = brownout_excess_scan(plan, t.src, t.at)
+                .max(brownout_excess_scan(plan, t.dst, t.at));
+            if excess > 0.0 {
+                sur += cost.lambda * excess;
+            }
+        }
+        sur
+    }
+
+    /// The former normalization: sort by (server, from, to), merge
+    /// overlapping or touching same-server windows, sort by (from,
+    /// server, to).
+    fn coalesce_scan(mut crashes: Vec<CrashWindow>) -> Vec<CrashWindow> {
+        crashes.sort_by(|a, b| {
+            a.server
+                .cmp(&b.server)
+                .then(a.from.total_cmp(&b.from))
+                .then(a.to.total_cmp(&b.to))
+        });
+        let mut out: Vec<CrashWindow> = Vec::new();
+        for cur in crashes {
+            match out.last_mut() {
+                Some(last) if cur.server == last.server && cur.from <= last.to => {
+                    last.to = last.to.max(cur.to);
+                }
+                _ => out.push(cur),
+            }
+        }
+        out.sort_by(|a, b| {
+            a.from
+                .total_cmp(&b.from)
+                .then(a.server.cmp(&b.server))
+                .then(a.to.total_cmp(&b.to))
+        });
+        out
+    }
+
+    /// The sorted onset/recovery event list with per-server depth counts.
+    fn total_outages_scan(plan: &FaultPlan, servers: usize) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        if servers == 0 {
+            return out;
+        }
+        let mut events: Vec<(f64, u8, u32)> = Vec::new();
+        for w in plan.crashes() {
+            if w.server.index() < servers {
+                events.push((w.from, 0, w.server.0));
+                events.push((w.to, 1, w.server.0));
+            }
+        }
+        events.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let mut depth = vec![0u32; servers];
+        let (mut down, mut start) = (0usize, 0.0f64);
+        for (t, kind, s) in events {
+            let s = s as usize;
+            if kind == 0 {
+                if depth[s] == 0 {
+                    down += 1;
+                    if down == servers {
+                        start = t;
+                    }
+                }
+                depth[s] += 1;
+            } else {
+                depth[s] -= 1;
+                if depth[s] == 0 {
+                    if down == servers && t > start {
+                        out.push((start, t));
+                    }
+                    down -= 1;
+                }
+            }
+        }
+        out
+    }
+
+    /// The wrapper's former per-run event list: every onset, recovery and
+    /// heal, sorted by (instant, Up < PartitionEnd < Down, server).
+    fn sorted_events(plan: &FaultPlan) -> Vec<FaultEvent> {
+        let order = |e: &FaultEvent| match e {
+            FaultEvent::Up { .. } => 0u8,
+            FaultEvent::PartitionEnd { .. } => 1,
+            FaultEvent::Down { .. } => 2,
+        };
+        let server_key = |e: &FaultEvent| match *e {
+            FaultEvent::Up { .. } | FaultEvent::PartitionEnd { .. } => 0,
+            FaultEvent::Down { server, .. } => server.index(),
+        };
+        let mut events = Vec::new();
+        for w in plan.crashes() {
+            events.push(FaultEvent::Down {
+                server: w.server,
+                at: w.from,
+            });
+            events.push(FaultEvent::Up { at: w.to });
+        }
+        for w in plan.partitions() {
+            events.push(FaultEvent::PartitionEnd { at: w.to });
+        }
+        events.sort_unstable_by(|a, b| {
+            a.at()
+                .total_cmp(&b.at())
+                .then(order(a).cmp(&order(b)))
+                .then(server_key(a).cmp(&server_key(b)))
+        });
+        events
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        const M: usize = 4;
+
+        /// A window instant: mostly on a half-unit grid, so equal starts
+        /// across servers, touching windows, coalescing bursts and
+        /// windows at `t = 0` are common; sometimes off-grid.
+        fn instant() -> impl Strategy<Value = f64> {
+            let grid = || (0u32..24).prop_map(|k| 0.5 * k as f64);
+            prop_oneof![grid(), grid(), grid(), 0.0f64..12.0, Just(-0.0)]
+        }
+
+        fn span() -> impl Strategy<Value = f64> {
+            let grid = || (1u32..6).prop_map(|k| 0.5 * k as f64);
+            prop_oneof![grid(), grid(), grid(), 0.01f64..3.0]
+        }
+
+        /// A vector of up to `max - 1` draws of `element()`.
+        fn up_to<S: Strategy>(
+            max: usize,
+            element: impl Fn() -> S,
+        ) -> impl Strategy<Value = Vec<S::Value>> {
+            (0..max).prop_flat_map(move |n| proptest::collection::vec(element(), n))
+        }
+
+        fn raw_crashes(
+            servers: usize,
+            max: usize,
+            from: impl Fn() -> BoxedStrategy<f64> + 'static,
+        ) -> impl Strategy<Value = Vec<CrashWindow>> {
+            up_to(max, move || (0..servers, from(), span())).prop_map(|c| {
+                c.into_iter()
+                    .map(|(s, from, len)| CrashWindow {
+                        server: ServerId::from_index(s),
+                        from,
+                        to: from + len,
+                    })
+                    .collect()
+            })
+        }
+
+        fn random_plan() -> impl Strategy<Value = FaultPlan> {
+            let crashes = raw_crashes(M, 24, || instant().boxed());
+            let partitions = up_to(5, || (instant(), span(), 1u64..15));
+            let brownouts = up_to(8, || {
+                let factor = prop_oneof![Just(0.5), Just(1.5), Just(2.0), Just(3.0)];
+                (0..M, instant(), span(), factor)
+            });
+            (crashes, partitions, brownouts).prop_map(|(c, p, b)| {
+                FaultPlan::new(c, 1, 0.0, 0, 0.0)
+                    .with_partitions(
+                        p.into_iter()
+                            .map(|(from, len, mask)| PartitionWindow {
+                                from,
+                                to: from + len,
+                                mask,
+                            })
+                            .collect(),
+                    )
+                    .with_brownouts(
+                        b.into_iter()
+                            .map(|(s, from, len, factor)| BrownoutWindow {
+                                server: ServerId::from_index(s),
+                                from,
+                                to: from + len,
+                                factor,
+                            })
+                            .collect(),
+                    )
+            })
+        }
+
+        /// Every window edge, nudged by `1 ± 1e-9`, plus a few fixed
+        /// probes — sorted, so they double as the wrapper's `until` walk.
+        fn query_instants(plan: &FaultPlan) -> Vec<f64> {
+            let mut edges = vec![0.0, 0.25, 7.75, 100.0];
+            edges.extend(plan.crashes().iter().flat_map(|w| [w.from, w.to]));
+            edges.extend(plan.partitions().iter().flat_map(|w| [w.from, w.to]));
+            edges.extend(plan.brownouts().iter().flat_map(|w| [w.from, w.to]));
+            let mut out: Vec<f64> = edges
+                .iter()
+                .flat_map(|&t| [t, t * (1.0 - 1e-9), t * (1.0 + 1e-9)])
+                .collect();
+            out.sort_by(f64::total_cmp);
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn normalization_matches_the_two_sort_coalesce(
+                // Many servers over few onsets: long runs of equal starts,
+                // past the sort's small-slice cutoff, so a missing server
+                // tiebreak shows.
+                raw in raw_crashes(16, 160, || {
+                    prop_oneof![(0u32..6).prop_map(|k| 0.5 * k as f64), Just(-0.0)].boxed()
+                }),
+            ) {
+                let plan = FaultPlan::new(raw.clone(), 1, 0.0, 0, 0.0);
+                let want = coalesce_scan(raw);
+                let bits = |c: &[CrashWindow]| -> Vec<(u32, u64, u64)> {
+                    c.iter().map(|w| (w.server.0, w.from.to_bits(), w.to.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(plan.crashes()), bits(&want));
+            }
+
+            #[test]
+            fn indexed_queries_match_the_scans(plan in random_plan()) {
+                let instants = query_instants(&plan);
+                for &t in &instants {
+                    for s in 0..=M {
+                        let a = ServerId::from_index(s);
+                        prop_assert_eq!(plan.is_down(a, t), is_down_scan(&plan, a, t), "is_down({}, {})", s, t);
+                        prop_assert_eq!(plan.next_crash_after(a, t), next_crash_after_scan(&plan, a, t));
+                        prop_assert_eq!(
+                            plan.brownout_excess(a, t).to_bits(),
+                            brownout_excess_scan(&plan, a, t).to_bits()
+                        );
+                        for b in 0..M {
+                            let b = ServerId::from_index(b);
+                            prop_assert_eq!(plan.partitioned(a, b, t), partitioned_scan(&plan, a, b, t));
+                        }
+                    }
+                    prop_assert_eq!(plan.partition_active(t), partition_active_scan(&plan, t));
+                }
+                let mut out = Vec::new();
+                for servers in 0..=M + 1 {
+                    plan.total_outages_into(servers, &mut out);
+                    prop_assert_eq!(&out, &total_outages_scan(&plan, servers), "servers {}", servers);
+                }
+            }
+
+            #[test]
+            fn brownout_surcharge_matches_the_scan(
+                plan in random_plan(),
+                copies in up_to(12, || (0..M, instant(), span())),
+                transfers in up_to(12, || (0..M, 0..M, instant())),
+            ) {
+                let rec = RunRecord {
+                    records: copies
+                        .into_iter()
+                        .map(|(s, from, len)| crate::online::tracker::CopyRecord {
+                            server: ServerId::from_index(s),
+                            from,
+                            last_touch: from,
+                            to: from + len,
+                        })
+                        .collect(),
+                    transfers: transfers
+                        .into_iter()
+                        .map(|(src, dst, at)| crate::online::tracker::TransferRecord {
+                            src: ServerId::from_index(src),
+                            dst: ServerId::from_index(dst),
+                            at,
+                            epoch: 0,
+                        })
+                        .collect(),
+                    epoch_boundaries: Vec::new(),
+                };
+                let cost = CostModel::new(1.25, 0.75).unwrap();
+                prop_assert_eq!(
+                    brownout_surcharge(&plan, &rec, &cost).to_bits(),
+                    brownout_surcharge_scan(&plan, &rec, &cost).to_bits()
+                );
+            }
+
+            #[test]
+            fn cursors_replay_the_sorted_event_list(plan in random_plan()) {
+                let oracle = sorted_events(&plan);
+                let mut cursor = EventCursor::default();
+                let mut seen = Vec::new();
+                let mut untils = query_instants(&plan);
+                untils.push(f64::INFINITY);
+                for until in untils {
+                    while let Some(ev) = cursor.next_until(&plan, until) {
+                        seen.push(ev);
+                    }
+                    let due = oracle.iter().take_while(|e| e.at() <= until).count();
+                    prop_assert_eq!(&seen[..], &oracle[..due], "until {}", until);
+                }
+            }
+        }
     }
 }

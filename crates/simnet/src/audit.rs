@@ -51,44 +51,79 @@ pub(crate) fn eq_tol(tol: f64, a: f64, b: f64) -> bool {
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
 }
 
+/// Inclusive bounds `[lo, hi]` holding every `b` with `eq_tol(tol, a, b)`.
+/// For a finite `a` and `0 ≤ tol < 1/4`, `|a − b| ≤ tol·max(|a|, |b|, 1)`
+/// implies `|a − b| ≤ tol/(1 − tol)·max(|a|, 1) < 4/3·tol·max(|a|, 1)`;
+/// the band is three times wider than that, which absorbs the rounding of
+/// both the tolerance test and the bounds. Any other input gets the whole
+/// line, so the exact test alone decides.
+fn tol_band(tol: f64, a: f64) -> (f64, f64) {
+    if a.is_finite() && (0.0..0.25).contains(&tol) {
+        let d = 4.0 * tol * a.abs().max(1.0);
+        (a - d, a + d)
+    } else {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    }
+}
+
 /// Whether a cache interval starting at `from` with no incoming transfer
 /// is *grounded* — justified as a durable-storage reseed: it starts at a
 /// total-outage end (first-recovery reseed) or at a crash instant under an
 /// active partition (the wrapper's stranded-evacuation reseed). Grounded
 /// intervals may also source transfers at their own start instant, like
 /// the origin's initial copy at `t = 0`.
+///
+/// `outages` is sorted and disjoint (as
+/// [`FaultPlan::total_outages_into`] builds it) and the plan's crashes are
+/// sorted by onset, so both are binary-searched for the band of instants
+/// within tolerance of `from`; the exact `eq_tol` test then decides.
 pub(crate) fn grounded_start(
     tol: f64,
     plan: &FaultPlan,
     outages: &[(f64, f64)],
     from: f64,
 ) -> bool {
-    outages.iter().any(|w| eq_tol(tol, from, w.1))
-        || plan
-            .crashes()
+    let (lo, hi) = tol_band(tol, from);
+    let ends = &outages[outages.partition_point(|w| w.1 < lo)..];
+    let crashes = plan.crashes();
+    let onsets = &crashes[crashes.partition_point(|c| c.from < lo)..];
+    ends.iter()
+        .take_while(|w| w.1 <= hi)
+        .any(|w| eq_tol(tol, from, w.1))
+        || onsets
             .iter()
+            .take_while(|c| c.from <= hi)
             .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
 }
 
 /// Whether instant `t` falls inside a total outage `[from, to)` — requests
 /// there are unservable by any policy and their service findings are
-/// waived (the wrapper defers them into its offline queue).
+/// waived (the wrapper defers them into its offline queue). `outages` is
+/// sorted and disjoint: only spans ending after `t` and starting within
+/// tolerance of it are tested.
 pub(crate) fn outage_covers(tol: f64, outages: &[(f64, f64)], t: f64) -> bool {
-    outages
+    let (_, hi) = tol_band(tol, t);
+    outages[outages.partition_point(|w| w.1 <= t)..]
         .iter()
+        .take_while(|w| w.0 <= hi)
         .any(|w| (w.0 <= t || eq_tol(tol, w.0, t)) && t < w.1 && !eq_tol(tol, t, w.1))
 }
 
 /// Whether a coverage gap `[from, to]` lies inside a total outage (within
-/// tolerance): no copy can exist anywhere over such a span.
+/// tolerance): no copy can exist anywhere over such a span. `outages` is
+/// sorted and disjoint, searched like [`outage_covers`].
 pub(crate) fn gap_waived(tol: f64, outages: &[(f64, f64)], from: f64, to: f64) -> bool {
-    outages
+    let (_, hi) = tol_band(tol, from);
+    let (lo, _) = tol_band(tol, to);
+    outages[outages.partition_point(|w| w.1 < lo)..]
         .iter()
+        .take_while(|w| w.0 <= hi)
         .any(|w| (w.0 <= from || eq_tol(tol, w.0, from)) && (to <= w.1 || eq_tol(tol, to, w.1)))
 }
 
 /// Brownout `μ` surcharge of one merged cache interval: `(factor − 1)·μ`
-/// per unit of overlap with each degrading window (overlaps stack).
+/// per unit of overlap with each degrading window (overlaps stack, summed
+/// in plan order).
 pub(crate) fn interval_surcharge(
     plan: &FaultPlan,
     server: ServerId,
@@ -97,7 +132,7 @@ pub(crate) fn interval_surcharge(
     mu: f64,
 ) -> f64 {
     let mut sur = 0.0;
-    for w in plan.brownouts() {
+    for w in plan.brownouts_overlapping(from, to) {
         if w.server == server {
             let overlap = to.min(w.to) - from.max(w.from);
             if overlap > 0.0 {
@@ -310,8 +345,7 @@ impl ScheduleAuditor {
         // at their ends are grounded.
         let mut outages: Vec<(f64, f64)> = Vec::new();
         if let Some(plan) = plan {
-            let (mut events, mut depth) = (Vec::new(), Vec::new());
-            plan.total_outages_into(servers, &mut events, &mut depth, &mut outages);
+            plan.total_outages_into(servers, &mut outages);
         }
 
         // Per-server interval index, sorted by start.
@@ -771,5 +805,184 @@ mod tests {
             at: 1.5,
         });
         assert!(f.to_string().contains("crash"));
+    }
+
+    /// The linear scans the binary-searched waiver helpers replaced, as
+    /// oracles over random plans.
+    mod differential {
+        use super::*;
+        use mcc_core::online::{BrownoutWindow, PartitionWindow};
+        use proptest::prelude::*;
+
+        const M: usize = 3;
+
+        fn grounded_start_scan(
+            tol: f64,
+            plan: &FaultPlan,
+            outages: &[(f64, f64)],
+            from: f64,
+        ) -> bool {
+            outages.iter().any(|w| eq_tol(tol, from, w.1))
+                || plan
+                    .crashes()
+                    .iter()
+                    .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
+        }
+
+        fn outage_covers_scan(tol: f64, outages: &[(f64, f64)], t: f64) -> bool {
+            outages
+                .iter()
+                .any(|w| (w.0 <= t || eq_tol(tol, w.0, t)) && t < w.1 && !eq_tol(tol, t, w.1))
+        }
+
+        fn gap_waived_scan(tol: f64, outages: &[(f64, f64)], from: f64, to: f64) -> bool {
+            outages.iter().any(|w| {
+                (w.0 <= from || eq_tol(tol, w.0, from)) && (to <= w.1 || eq_tol(tol, to, w.1))
+            })
+        }
+
+        fn interval_surcharge_scan(
+            plan: &FaultPlan,
+            server: ServerId,
+            from: f64,
+            to: f64,
+            mu: f64,
+        ) -> f64 {
+            let mut sur = 0.0;
+            for w in plan.brownouts() {
+                if w.server == server {
+                    let overlap = to.min(w.to) - from.max(w.from);
+                    if overlap > 0.0 {
+                        sur += (w.factor - 1.0) * mu * overlap;
+                    }
+                }
+            }
+            sur
+        }
+
+        /// Mostly half-unit grid instants (equal starts, touching windows,
+        /// coalescing overlaps, `t = 0`), sometimes off-grid.
+        fn instant() -> impl Strategy<Value = f64> {
+            let grid = || (0u32..16).prop_map(|k| 0.5 * k as f64);
+            prop_oneof![grid(), grid(), grid(), 0.0f64..8.0]
+        }
+
+        fn span() -> impl Strategy<Value = f64> {
+            let grid = || (1u32..6).prop_map(|k| 0.5 * k as f64);
+            prop_oneof![grid(), grid(), grid(), 0.01f64..3.0]
+        }
+
+        fn up_to<S: Strategy>(
+            max: usize,
+            element: impl Fn() -> S,
+        ) -> impl Strategy<Value = Vec<S::Value>> {
+            (0..max).prop_flat_map(move |n| proptest::collection::vec(element(), n))
+        }
+
+        /// Dense crashes on few servers, so total outages are common.
+        fn random_plan() -> impl Strategy<Value = FaultPlan> {
+            let crashes = up_to(20, || (0..M, instant(), span()));
+            let partitions = up_to(4, || (instant(), span(), 1u64..7));
+            let brownouts = up_to(6, || {
+                (0..M, instant(), span(), prop_oneof![Just(1.5), Just(3.0)])
+            });
+            (crashes, partitions, brownouts).prop_map(|(c, p, b)| {
+                FaultPlan::new(
+                    c.into_iter()
+                        .map(|(s, from, len)| CrashWindow {
+                            server: ServerId::from_index(s),
+                            from,
+                            to: from + len,
+                        })
+                        .collect(),
+                    1,
+                    0.0,
+                    0,
+                    0.0,
+                )
+                .with_partitions(
+                    p.into_iter()
+                        .map(|(from, len, mask)| PartitionWindow {
+                            from,
+                            to: from + len,
+                            mask,
+                        })
+                        .collect(),
+                )
+                .with_brownouts(
+                    b.into_iter()
+                        .map(|(s, from, len, factor)| BrownoutWindow {
+                            server: ServerId::from_index(s),
+                            from,
+                            to: from + len,
+                            factor,
+                        })
+                        .collect(),
+                )
+            })
+        }
+
+        /// Every window and outage edge, exact and nudged just inside and
+        /// just outside the `1e-9` tolerance, plus fixed probes.
+        fn query_instants(plan: &FaultPlan, outages: &[(f64, f64)]) -> Vec<f64> {
+            let mut edges = vec![0.0, 0.3, 20.0];
+            edges.extend(plan.crashes().iter().flat_map(|w| [w.from, w.to]));
+            edges.extend(plan.brownouts().iter().flat_map(|w| [w.from, w.to]));
+            edges.extend(outages.iter().flat_map(|w| [w.0, w.1]));
+            let mut out: Vec<f64> = edges
+                .iter()
+                .flat_map(|&t| {
+                    [0.0, 1e-9, -1e-9, 0.5e-9, -0.5e-9, 2e-9, -2e-9]
+                        .map(|r| t * (1.0 + r))
+                        .into_iter()
+                        .chain([t + 0.5e-9, t - 0.5e-9, t + 2e-9])
+                })
+                .collect();
+            out.sort_by(f64::total_cmp);
+            out.dedup();
+            out
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn waiver_helpers_match_the_scans(
+                plan in random_plan(),
+                tol in prop_oneof![Just(1e-9), Just(1e-9), Just(0.0), Just(1e-3), Just(0.3)],
+            ) {
+                let mut outages = Vec::new();
+                plan.total_outages_into(M, &mut outages);
+                let instants = query_instants(&plan, &outages);
+                for &t in &instants {
+                    prop_assert_eq!(
+                        grounded_start(tol, &plan, &outages, t),
+                        grounded_start_scan(tol, &plan, &outages, t),
+                        "grounded_start({})", t
+                    );
+                    prop_assert_eq!(
+                        outage_covers(tol, &outages, t),
+                        outage_covers_scan(tol, &outages, t),
+                        "outage_covers({})", t
+                    );
+                }
+                for (i, &from) in instants.iter().enumerate() {
+                    for &to in instants[i..].iter().step_by(3) {
+                        prop_assert_eq!(
+                            gap_waived(tol, &outages, from, to),
+                            gap_waived_scan(tol, &outages, from, to),
+                            "gap_waived({}, {})", from, to
+                        );
+                        for s in 0..=M {
+                            let s = ServerId::from_index(s);
+                            prop_assert_eq!(
+                                interval_surcharge(&plan, s, from, to, 1.25).to_bits(),
+                                interval_surcharge_scan(&plan, s, from, to, 1.25).to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -117,14 +117,11 @@ const SALT_BURST: u64 = 0x2545_F491_4F6C_DD1D;
 const SALT_PARTITION: u64 = 0xD6E8_FEB8_6659_FD93;
 const SALT_BROWNOUT: u64 = 0xA076_1D64_78BD_642F;
 
-/// Reusable buffers for [`FaultSpec::plan_for_into`]: the sampled windows
-/// of each fault class before they are assigned into the plan.
+/// The warm-buffer argument of [`FaultSpec::plan_for_into`]. Expansion
+/// writes every window straight into the plan's own buffers, so this
+/// holds nothing; it keeps the call shape of callers that pass one.
 #[derive(Default, Debug)]
-pub struct PlanScratch {
-    windows: Vec<CrashWindow>,
-    partitions: Vec<PartitionWindow>,
-    brownouts: Vec<BrownoutWindow>,
-}
+pub struct PlanScratch {}
 
 impl FaultSpec {
     /// A spec that injects nothing (plans come out trivial).
@@ -146,31 +143,59 @@ impl FaultSpec {
     /// streams of their own, each from its own salted RNG.
     pub fn plan_for(&self, run_seed: u64, servers: usize, horizon: f64) -> FaultPlan {
         let mut plan = FaultPlan::none();
-        let mut scratch = PlanScratch::default();
-        self.plan_for_into(run_seed, servers, horizon, &mut plan, &mut scratch);
+        self.plan_for_into(
+            run_seed,
+            servers,
+            horizon,
+            &mut plan,
+            &mut PlanScratch::default(),
+        );
         plan
     }
 
     /// [`Self::plan_for`] into caller-owned storage: same draws, same
-    /// resulting plan, zero allocations once `plan` and `scratch` are
-    /// warm. This is what keeps per-seed fault expansion off the heap in
-    /// the sweep hot path.
+    /// resulting plan, zero allocations once `plan` is warm. The windows
+    /// are drawn straight into the plan's buffers and indexed there (the
+    /// scratch argument holds nothing). This is what keeps per-seed fault
+    /// expansion off the heap in the sweep hot path.
     pub fn plan_for_into(
         &self,
         run_seed: u64,
         servers: usize,
         horizon: f64,
         plan: &mut FaultPlan,
-        scratch: &mut PlanScratch,
+        _scratch: &mut PlanScratch,
     ) {
         let mixed = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(run_seed)
             .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        scratch.windows.clear();
-        scratch.partitions.clear();
-        scratch.brownouts.clear();
+        plan.assign(
+            |windows, partitions, brownouts| {
+                self.draw_windows(mixed, servers, horizon, windows, partitions, brownouts)
+            },
+            mixed ^ 0xD6E8_FEB8_6659_FD93,
+            self.fail_prob,
+            self.retry_budget,
+            self.backoff_base,
+            self.mean_delay,
+            self.queue_cap,
+        );
+    }
+
+    /// Samples the raw windows of every fault class for the mixed seed,
+    /// in a fixed draw order, straight into the plan's buffers; returns
+    /// the number of correlated bursts expanded.
+    fn draw_windows(
+        &self,
+        mixed: u64,
+        servers: usize,
+        horizon: f64,
+        windows: &mut Vec<CrashWindow>,
+        partitions: &mut Vec<PartitionWindow>,
+        brownouts: &mut Vec<BrownoutWindow>,
+    ) -> u32 {
         let mut bursts = 0u32;
         let live = servers > 0 && horizon > 0.0;
         if live && self.crash_rate > 0.0 && self.mean_downtime > 0.0 {
@@ -180,7 +205,7 @@ impl FaultSpec {
                 let mut t = rng.exp(mean_gap);
                 while t < horizon {
                     let down = rng.exp(self.mean_downtime);
-                    scratch.windows.push(CrashWindow {
+                    windows.push(CrashWindow {
                         server: ServerId::from_index(s),
                         from: t,
                         to: t + down,
@@ -202,7 +227,7 @@ impl FaultSpec {
                         // The forced pick keeps every burst non-empty
                         // without re-rolling (draw counts stay fixed, so
                         // later events are unaffected by earlier outcomes).
-                        scratch.windows.push(CrashWindow {
+                        windows.push(CrashWindow {
                             server: ServerId::from_index(s),
                             from: t,
                             to: t + down,
@@ -234,7 +259,7 @@ impl FaultSpec {
                 // Degenerate masks (everyone on one side) partition
                 // nothing; skip them rather than re-rolling.
                 if mask & used != 0 && (mask & used) != used {
-                    scratch.partitions.push(PartitionWindow {
+                    partitions.push(PartitionWindow {
                         from: t,
                         to: t + span,
                         mask,
@@ -257,7 +282,7 @@ impl FaultSpec {
             while t < horizon {
                 let span = rng.exp(self.brownout_mean);
                 let server = (rng.next_u64() % servers as u64) as usize;
-                scratch.brownouts.push(BrownoutWindow {
+                brownouts.push(BrownoutWindow {
                     server: ServerId::from_index(server),
                     from: t,
                     to: t + span,
@@ -266,18 +291,7 @@ impl FaultSpec {
                 t += rng.exp(1.0 / self.brownout_rate);
             }
         }
-        plan.assign(
-            &scratch.windows,
-            &scratch.partitions,
-            &scratch.brownouts,
-            mixed ^ 0xD6E8_FEB8_6659_FD93,
-            self.fail_prob,
-            self.retry_budget,
-            self.backoff_base,
-            self.mean_delay,
-            self.queue_cap,
-            bursts,
-        );
+        bursts
     }
 }
 
@@ -393,8 +407,8 @@ mod tests {
         for servers in [2usize, 3] {
             for run_seed in 0..8u64 {
                 let plan = spec.plan_for(run_seed, servers, 40.0);
-                let (mut ev, mut depth, mut out) = (Vec::new(), Vec::new(), Vec::new());
-                plan.total_outages_into(servers, &mut ev, &mut depth, &mut out);
+                let mut out = Vec::new();
+                plan.total_outages_into(servers, &mut out);
                 saw_total |= !out.is_empty();
             }
         }

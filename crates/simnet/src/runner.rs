@@ -110,7 +110,6 @@ struct SeedScratch {
     solver: SolverWorkspace<f64>,
     rt: Runtime<f64>,
     audit: AuditScratch,
-    plan_scratch: PlanScratch,
     /// Plan storage for oblivious fault cells (tolerant cells expand
     /// straight into the wrapper's own plan buffer).
     fault_plan: FaultPlan,
@@ -128,7 +127,6 @@ impl RunWorkspace {
                 solver: SolverWorkspace::new(),
                 rt: Runtime::new(1),
                 audit: AuditScratch::default(),
-                plan_scratch: PlanScratch::default(),
                 fault_plan: FaultPlan::none(),
                 audit_on: true,
             },
@@ -853,7 +851,7 @@ fn seed_faulty_core<P: OnlineDecider<f64>>(
         inst.servers(),
         inst.horizon(),
         wrapped.plan_mut(),
-        &mut ws.plan_scratch,
+        &mut PlanScratch::default(),
     );
     seed_faulty_body(wrapped, seed, inst, precomputed_opt, ws, sink)
 }
@@ -927,7 +925,7 @@ fn seed_oblivious_core(
         inst.servers(),
         inst.horizon(),
         &mut ws.fault_plan,
-        &mut ws.plan_scratch,
+        &mut PlanScratch::default(),
     );
     seed_oblivious_body(policy, seed, inst, precomputed_opt, ws, sink)
 }

@@ -142,9 +142,6 @@ pub struct AuditScratch {
     /// `(server, from, believed to)` per merged interval, for the cost
     /// recompute in the replay auditor's summation order.
     costs: Vec<(usize, f64, f64)>,
-    /// Event/depth buffers for [`FaultPlan::total_outages_into`].
-    outage_events: Vec<(f64, u8, u32)>,
-    outage_depth: Vec<u32>,
     /// Total-outage spans of the current plan (empty without a plan).
     outages: Vec<(f64, f64)>,
     /// `(at, src, dst)` per transfer, sorted like a normalized schedule's
@@ -268,8 +265,6 @@ impl StreamingAuditor {
             delivered,
             spans,
             costs,
-            outage_events,
-            outage_depth,
             outages,
             tr_order,
             findings,
@@ -278,7 +273,7 @@ impl StreamingAuditor {
         // Total-outage windows of the plan (see the replay auditor): the
         // waiver and grounding rules below all read from this one list.
         if let Some(plan) = plan {
-            plan.total_outages_into(servers, outage_events, outage_depth, outages);
+            plan.total_outages_into(servers, outages);
         }
 
         // --- structural: malformed merged intervals stop the audit ------
