@@ -11,7 +11,7 @@ use mcc_model::{Instance, Request, Scalar, Schedule};
 
 use super::decider::OnlineDecider;
 use super::policy::{OnlinePolicy, ServeAction};
-use super::tracker::{RunRecord, Runtime};
+use super::tracker::{CopyRecord, RunRecord, Runtime};
 
 /// The full outcome of one online run.
 #[derive(Clone, Debug)]
@@ -121,31 +121,79 @@ pub fn finalize_record<'rt, S: Scalar, P: OnlinePolicy<S> + ?Sized>(
     }
 }
 
-/// Sums a finished record into [`RunStats`] — one shared summation (same
-/// op order, same rounding) for batch replay and the serve engine, so
-/// their totals agree to the bit.
+/// The running sums behind [`RunStats`]: the caching cost in record
+/// order, the transfer count and the `λ` sum. One definition serves batch
+/// replay ([`stats_from_record`] folds a whole finished record) and the
+/// serve engine (which folds each record as [`Runtime::settle`] releases
+/// it, then the rest at finish), so their totals agree to the bit.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub struct RunFold<S> {
+    caching_cost: S,
+    transfer_cost: S,
+    transfers: usize,
+}
+
+impl<S: Scalar> Default for RunFold<S> {
+    fn default() -> Self {
+        RunFold {
+            caching_cost: S::ZERO,
+            transfer_cost: S::ZERO,
+            transfers: 0,
+        }
+    }
+}
+
+impl<S: Scalar> RunFold<S> {
+    /// Adds one copy lifetime's caching cost.
+    #[inline]
+    pub fn copy(&mut self, r: &CopyRecord<S>, cost: &mcc_model::CostModel<S>) {
+        self.caching_cost = self.caching_cost + cost.caching(r.to - r.from);
+    }
+
+    /// Adds one transfer.
+    #[inline]
+    pub fn transfer(&mut self, cost: &mcc_model::CostModel<S>) {
+        self.transfer_cost = self.transfer_cost + cost.lambda;
+        self.transfers += 1;
+    }
+
+    /// Folds whatever `record` still holds: its copies in order, then its
+    /// transfers.
+    pub fn record(&mut self, record: &RunRecord<S>, cost: &mcc_model::CostModel<S>) {
+        for r in &record.records {
+            self.copy(r, cost);
+        }
+        for _ in &record.transfers {
+            self.transfer(cost);
+        }
+    }
+
+    /// The folded totals as [`RunStats`].
+    pub fn stats(&self, cache_hits: usize, deferred: usize) -> RunStats<S> {
+        RunStats {
+            total_cost: self.caching_cost + self.transfer_cost,
+            caching_cost: self.caching_cost,
+            transfer_cost: self.transfer_cost,
+            transfers: self.transfers,
+            cache_hits,
+            deferred,
+        }
+    }
+}
+
+/// Sums a finished record into [`RunStats`] through [`RunFold`]: the
+/// caching cost in the record's canonical order (the order
+/// [`Runtime::finalize`] sorts into, *not* the order copies closed), the
+/// transfers in push order.
 pub fn stats_from_record<S: Scalar>(
     record: &RunRecord<S>,
     cost: &mcc_model::CostModel<S>,
     cache_hits: usize,
     deferred: usize,
 ) -> RunStats<S> {
-    let mut caching_cost = S::ZERO;
-    for r in &record.records {
-        caching_cost = caching_cost + cost.caching(r.to - r.from);
-    }
-    let mut transfer_cost = S::ZERO;
-    for _ in &record.transfers {
-        transfer_cost = transfer_cost + cost.lambda;
-    }
-    RunStats {
-        total_cost: caching_cost + transfer_cost,
-        caching_cost,
-        transfer_cost,
-        transfers: record.transfers.len(),
-        cache_hits,
-        deferred,
-    }
+    let mut fold = RunFold::default();
+    fold.record(record, cost);
+    fold.stats(cache_hits, deferred)
 }
 
 /// Runs `policy` over `inst`'s request sequence (strictly online: one

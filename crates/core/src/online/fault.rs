@@ -84,11 +84,13 @@
 // the lints below.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+use std::sync::Arc;
+
 use mcc_model::{CostModel, Request, Scalar, ServerId};
 
 use super::decider::{DeciderStats, Decision, OnlineDecider};
 use super::policy::{OnlinePolicy, ServeAction};
-use super::tracker::{CopyOps, RunRecord};
+use super::tracker::{CopyOps, CopyRecord, RunRecord, TransferRecord};
 
 /// One server outage: the server is down over the half-open `[from, to)`.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -800,38 +802,102 @@ impl FaultPlan {
 /// *outside* the schedule (the schedule's own `μ/λ` costs stay healthy)
 /// and added to the reported online cost by the run pipeline; the auditors
 /// recompute it from the same geometry.
+///
+/// The sum runs through [`BrownoutFold`]: every record term in record
+/// order, then every transfer term in push order.
 pub fn brownout_surcharge<S: Scalar>(
     plan: &FaultPlan,
     rec: &RunRecord<S>,
     cost: &CostModel<S>,
 ) -> f64 {
-    if plan.brownouts().is_empty() {
-        return 0.0;
+    BrownoutFold::default().finish(plan, rec, cost)
+}
+
+/// [`brownout_surcharge`] as a running fold, for a consumer that drops
+/// records as they settle (the serve engine). Record terms add into the
+/// running sum as records arrive. A transfer term is computed when the
+/// transfer arrives but added only at [`BrownoutFold::finish`], after every
+/// record term — floating-point addition does not reassociate, and the
+/// one-shot sum adds the transfer terms last. Only non-zero terms are kept
+/// (8 B each), so a plan without brownouts keeps nothing.
+#[derive(Clone, Debug, Default)]
+pub struct BrownoutFold {
+    sur: f64,
+    transfer_terms: Vec<f64>,
+}
+
+impl BrownoutFold {
+    /// Rewinds to the empty fold, keeping the term buffer's capacity.
+    pub fn reset(&mut self) {
+        self.sur = 0.0;
+        self.transfer_terms.clear();
     }
-    let mu = cost.mu.to_f64();
-    let lambda = cost.lambda.to_f64();
-    let mut sur = 0.0;
-    for r in &rec.records {
+
+    /// Adds one copy lifetime's browned-out caching time.
+    pub fn copy<S: Scalar>(&mut self, plan: &FaultPlan, r: &CopyRecord<S>, cost: &CostModel<S>) {
+        let mu = cost.mu.to_f64();
         let (from, to) = (r.from.to_f64(), r.to.to_f64());
         for w in plan.brownouts_overlapping(from, to) {
             if w.server == r.server {
                 let overlap = to.min(w.to) - from.max(w.from);
                 if overlap > 0.0 {
-                    sur += (w.factor - 1.0) * mu * overlap;
+                    self.sur += (w.factor - 1.0) * mu * overlap;
                 }
             }
         }
     }
-    for t in &rec.transfers {
-        let at = t.at.to_f64();
-        let excess = plan
-            .brownout_excess(t.src, at)
-            .max(plan.brownout_excess(t.dst, at));
-        if excess > 0.0 {
-            sur += lambda * excess;
+
+    /// Keeps one transfer's term for [`BrownoutFold::finish`].
+    pub fn transfer<S: Scalar>(
+        &mut self,
+        plan: &FaultPlan,
+        t: &TransferRecord<S>,
+        cost: &CostModel<S>,
+    ) {
+        if let Some(term) = transfer_term(plan, t, cost) {
+            self.transfer_terms.push(term);
         }
     }
-    sur
+
+    /// The surcharge once `rec` holds the rest of the run: its records'
+    /// terms, then the kept transfer terms, then `rec`'s own transfers'
+    /// terms (all transfers in push order).
+    pub fn finish<S: Scalar>(
+        &mut self,
+        plan: &FaultPlan,
+        rec: &RunRecord<S>,
+        cost: &CostModel<S>,
+    ) -> f64 {
+        if plan.brownouts().is_empty() {
+            return 0.0;
+        }
+        for r in &rec.records {
+            self.copy(plan, r, cost);
+        }
+        let mut sur = self.sur;
+        for term in &self.transfer_terms {
+            sur += term;
+        }
+        for t in &rec.transfers {
+            if let Some(term) = transfer_term(plan, t, cost) {
+                sur += term;
+            }
+        }
+        sur
+    }
+}
+
+/// One transfer's brownout term, `None` when neither end is browned out.
+fn transfer_term<S: Scalar>(
+    plan: &FaultPlan,
+    t: &TransferRecord<S>,
+    cost: &CostModel<S>,
+) -> Option<f64> {
+    let at = t.at.to_f64();
+    let excess = plan
+        .brownout_excess(t.src, at)
+        .max(plan.brownout_excess(t.dst, at));
+    (excess > 0.0).then(|| cost.lambda.to_f64() * excess)
 }
 
 /// splitmix64 finalizer: a well-mixed 64-bit hash step.
@@ -972,7 +1038,9 @@ impl EventCursor {
 /// what actually happened and stays auditor-clean.
 pub struct FaultTolerant<P> {
     inner: P,
-    plan: FaultPlan,
+    /// Shared read-only by every wrapper built from one plan (the serve
+    /// engine's items); a sole owner mutates it in place.
+    plan: Arc<FaultPlan>,
     stats: FaultStats,
     lambda: f64,
     cursor: EventCursor,
@@ -988,8 +1056,10 @@ pub struct FaultTolerant<P> {
 }
 
 impl<P> FaultTolerant<P> {
-    /// Wraps `inner` to run against `plan`.
-    pub fn new(inner: P, plan: FaultPlan) -> Self {
+    /// Wraps `inner` to run against `plan`: a [`FaultPlan`] it will own,
+    /// or an `Arc` it shares with other wrappers.
+    pub fn new(inner: P, plan: impl Into<Arc<FaultPlan>>) -> Self {
+        let plan = plan.into();
         let budget_left = plan.retry_budget();
         FaultTolerant {
             inner,
@@ -1025,16 +1095,17 @@ impl<P> FaultTolerant<P> {
     /// next run's faults straight into the wrapper's buffers (no per-run
     /// plan clone). Swap plans only between runs: the wrapper walks the
     /// plan's sorted windows and indexes through cursors that only `reset`
-    /// rewinds.
+    /// rewinds. A sole owner edits the plan in place; a shared plan is
+    /// copied first (`Arc::make_mut`).
     pub fn plan_mut(&mut self) -> &mut FaultPlan {
-        &mut self.plan
+        Arc::make_mut(&mut self.plan)
     }
 
     /// Replaces the wrapper's plan with a copy of `plan` — windows and
     /// indexes — reusing the existing buffers. Only between runs, as with
     /// [`FaultTolerant::plan_mut`].
     pub fn set_plan(&mut self, plan: &FaultPlan) {
-        self.plan.copy_from(plan);
+        self.plan_mut().copy_from(plan);
     }
 
     /// Unwraps the inner policy.

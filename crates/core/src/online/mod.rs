@@ -27,13 +27,13 @@ pub use baselines::{Follow, KeepEverywhere, StayAtOrigin};
 pub use decider::{DeciderStats, Decision, OnlineDecider};
 pub use dt::{double_transfer, DtCache, DtSchedule, DtTransfer};
 pub use executor::{
-    finalize_record, run_policy, run_policy_record, stats_from_record, OnlineRun, RunStats,
+    finalize_record, run_policy, run_policy_record, stats_from_record, OnlineRun, RunFold, RunStats,
 };
 pub use fault::{
-    brownout_surcharge, BrownoutWindow, CrashWindow, FaultPlan, FaultStats, FaultTolerant,
-    PartitionWindow, RetryDraw,
+    brownout_surcharge, BrownoutFold, BrownoutWindow, CrashWindow, FaultPlan, FaultStats,
+    FaultTolerant, PartitionWindow, RetryDraw,
 };
 pub use policy::{OnlinePolicy, ServeAction};
 pub use reduction::{analyze, ReductionReport};
 pub use sc::SpeculativeCaching;
-pub use tracker::{CopyOps, CopyRecord, RunRecord, Runtime, TransferRecord};
+pub use tracker::{CopyOps, CopyRecord, RecordFold, RunRecord, Runtime, TransferRecord};

@@ -121,16 +121,51 @@ impl<S: Scalar> CopyOps<S> for Runtime<S> {
     }
 }
 
+/// A consumer of settled records, fed by [`Runtime::settle`]: copies in
+/// the canonical order [`Runtime::finalize`] sorts into, transfers in
+/// push order.
+pub trait RecordFold<S> {
+    /// Folds one copy lifetime that no later event can reorder.
+    fn copy(&mut self, record: &CopyRecord<S>);
+    /// Folds one transfer.
+    fn transfer(&mut self, transfer: &TransferRecord<S>);
+}
+
+/// The canonical record order: `(from, server, to, last_touch)`.
+fn canonical<S: Scalar>(a: &CopyRecord<S>, b: &CopyRecord<S>) -> std::cmp::Ordering {
+    a.from
+        .partial_cmp(&b.from)
+        .expect("no NaN times")
+        .then(a.server.cmp(&b.server))
+        .then(a.to.partial_cmp(&b.to).expect("no NaN times"))
+        .then(
+            a.last_touch
+                .partial_cmp(&b.last_touch)
+                .expect("no NaN times"),
+        )
+}
+
 /// Copy-lifecycle bookkeeping for one online run.
 ///
 /// A `Runtime` is reusable: [`Runtime::reset`] rewinds it to the initial
 /// state (origin copy open at time 0) while keeping every internal buffer's
 /// capacity, so the steady state of a sweep performs no heap allocation
 /// per run.
+///
+/// By default the runtime keeps the whole [`RunRecord`] until
+/// [`Runtime::finalize`], which is what batch replay, the audit and the
+/// fleet harvest read. A long-lived consumer (the serve daemon) calls
+/// [`Runtime::settle`] instead to fold and drop each record once its
+/// place in the canonical order is fixed, so the runtime holds only the
+/// open copies and the few closed records that an open copy could still
+/// sort after.
 #[derive(Clone, Debug)]
 pub struct Runtime<S> {
     open: Vec<Option<OpenCopy<S>>>,
     rec: RunRecord<S>,
+    /// `rec.records[..sorted]` is in canonical order (the pending run of
+    /// [`Runtime::settle`]); records past it closed since the last call.
+    sorted: usize,
     epoch: u32,
     now: S,
 }
@@ -147,6 +182,7 @@ impl<S: Scalar> Runtime<S> {
         Runtime {
             open,
             rec: RunRecord::default(),
+            sorted: 0,
             epoch: 0,
             now: S::ZERO,
         }
@@ -166,6 +202,7 @@ impl<S: Scalar> Runtime<S> {
         self.rec.records.clear();
         self.rec.transfers.clear();
         self.rec.epoch_boundaries.clear();
+        self.sorted = 0;
         self.epoch = 0;
         self.now = S::ZERO;
     }
@@ -275,10 +312,61 @@ impl<S: Scalar> Runtime<S> {
         self.epoch
     }
 
+    /// Feeds `fold` every record whose place in the canonical order is
+    /// fixed, then drops it; transfers go in push order and are dropped
+    /// too, as are the epoch boundaries (no fold reads them).
+    ///
+    /// A closed record is *settled* once its `from` lies strictly below
+    /// both `now` and the `from` of every open copy: every later copy
+    /// opens at or after `now` (`touch`, `transfer` and `reseed` assert
+    /// it), and the open copies are the only other records that could
+    /// still sort before it. Settled records therefore form a prefix of
+    /// the order [`Runtime::finalize`] sorts into, so folding them now
+    /// and the rest at finalization sums in exactly the order a full
+    /// record would.
+    ///
+    /// Records closed since the last call are binary-inserted into the
+    /// sorted pending run, never re-sorted. The bound costs one comparison
+    /// when the run's first record opened at or after `now`, and one pass
+    /// over the open copies otherwise.
+    pub fn settle(&mut self, fold: &mut impl RecordFold<S>) {
+        let records = &mut self.rec.records;
+        for i in self.sorted..records.len() {
+            let r = records[i];
+            let at = records[..i].partition_point(|p| canonical(p, &r).is_le());
+            records[at..=i].rotate_right(1);
+        }
+        self.sorted = records.len();
+        for t in &self.rec.transfers {
+            fold.transfer(t);
+        }
+        self.rec.transfers.clear();
+        self.rec.epoch_boundaries.clear();
+        match records.first() {
+            Some(first) if first.from < self.now => {}
+            _ => return,
+        }
+        let mut bound = self.now;
+        for copy in self.open.iter().flatten() {
+            if copy.from < bound {
+                bound = copy.from;
+            }
+        }
+        let settled = records.partition_point(|r| r.from < bound);
+        for r in &records[..settled] {
+            fold.copy(r);
+        }
+        records.drain(..settled);
+        self.sorted -= settled;
+    }
+
     /// Finalizes the run in place: every still-open copy is closed at
     /// `close_at(server)` and the records are brought into their canonical
-    /// `(from, server)` order. Borrows the run record out of the runtime —
-    /// call [`Runtime::reset`] before driving the next run.
+    /// `(from, server, to, last_touch)` order. Borrows the run record out
+    /// of the runtime — call [`Runtime::reset`] before driving the next
+    /// run. After [`Runtime::settle`] the record holds only what was not
+    /// settled yet: the tail of the canonical order and the transfers
+    /// since the last call.
     ///
     /// Sorting is unstable on the full record key, so it is deterministic
     /// (ties can only be bitwise-identical records) and allocation-free —
@@ -291,18 +379,8 @@ impl<S: Scalar> Runtime<S> {
                 self.close(server, t.max2(copy.last_touch));
             }
         }
-        self.rec.records.sort_unstable_by(|a, b| {
-            a.from
-                .partial_cmp(&b.from)
-                .expect("no NaN times")
-                .then(a.server.cmp(&b.server))
-                .then(a.to.partial_cmp(&b.to).expect("no NaN times"))
-                .then(
-                    a.last_touch
-                        .partial_cmp(&b.last_touch)
-                        .expect("no NaN times"),
-                )
-        });
+        self.rec.records.sort_unstable_by(canonical);
+        self.sorted = self.rec.records.len();
         &self.rec
     }
 

@@ -2,9 +2,11 @@
 //!
 //! One [`ServeEngine`] tracks many independent items, each with its own
 //! policy instance (built from a [`PolicyFactory`]) and its own
-//! [`Runtime`] copy tracker — exactly the state one batch-replay run
-//! holds, kept alive between requests instead of being driven to
-//! completion. Decisions go through
+//! [`Runtime`] copy tracker — the state one batch-replay run holds, kept
+//! alive between requests instead of being driven to completion, except
+//! that closed records are folded into the item's running costs and
+//! dropped as soon as their place in the cost order is fixed (see
+//! *Bounded growth*). Decisions go through
 //! [`OnlineDecider::observe`], the same call
 //! `run_policy_record` makes per replayed request, so a served stream
 //! and a batch replay of the same stream are bit-identical (asserted by
@@ -43,6 +45,29 @@
 //! already-tracked items always proceed — shedding mid-stream would
 //! violate the policy invariant that every request is served.
 //!
+//! A tracked item's own state does not grow with its request count
+//! either. After every decision and every fired timer the engine calls
+//! [`Runtime::settle`], which folds each closed copy record into the
+//! item's [`RunFold`] (and, under a plan with brownouts, its
+//! [`BrownoutFold`]) once no later record can sort before it, then drops
+//! it; transfers fold and drop at once. `finish` folds what is left in
+//! the same canonical order, so reports stay bit-identical to batch
+//! replay. What an item keeps is O(m) — its open copies, its policy's
+//! per-server state — plus the closed records still waiting behind an
+//! open copy that opened earlier. One residual is inherent to an exact
+//! fold in that order: while one copy stays open (a server requested
+//! more often than every `Δt`), every record closing behind it waits,
+//! 32 B each, until that copy closes.
+//!
+//! Items live in a slab: a map from item id to slot index, a dense
+//! `Vec` of slots and a free list. `finish` returns a slot to the free
+//! list, and the next admission resets its policy, runtime and folds in
+//! place, so a warm admission allocates nothing. Timer nodes name the
+//! slot, not the item, and carry the slot's generation, which stays
+//! monotone across reuse (`finish` bumps it), so sweeps do no map
+//! lookups and a previous occupant's nodes are stale by construction.
+//! Every fault-wrapped item shares the engine's one [`FaultPlan`].
+//!
 //! # The offline queue
 //!
 //! Under an injected fault plan the tolerant wrapper defers requests
@@ -55,11 +80,12 @@
 //! which stays identical to batch replay.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::Instant;
 
 use mcc_core::online::{
-    brownout_surcharge, finalize_record, stats_from_record, FaultPlan, FaultTolerant,
-    OnlineDecider, OnlinePolicy, Runtime, ServeAction,
+    finalize_record, BrownoutFold, CopyRecord, FaultPlan, FaultTolerant, OnlineDecider,
+    OnlinePolicy, RecordFold, RunFold, Runtime, ServeAction, TransferRecord,
 };
 use mcc_model::{CostModel, Request, ServerId};
 use mcc_obs::{Counter, Gauge, Hist, Sink};
@@ -81,8 +107,8 @@ pub struct ServeConfig {
     /// shed with [`ShedReason::MaxCopies`].
     pub max_copies: usize,
     /// Injected faults: every admitted item runs behind
-    /// [`FaultTolerant`] under a clone of this plan.
-    pub plan: Option<FaultPlan>,
+    /// [`FaultTolerant`], all sharing this one plan.
+    pub plan: Option<Arc<FaultPlan>>,
 }
 
 impl ServeConfig {
@@ -109,7 +135,11 @@ impl ServeConfig {
     /// Attaches an injected fault plan (a trivial plan detaches it).
     #[must_use]
     pub fn with_plan(mut self, plan: FaultPlan) -> Self {
-        self.plan = if plan.is_trivial() { None } else { Some(plan) };
+        self.plan = if plan.is_trivial() {
+            None
+        } else {
+            Some(Arc::new(plan))
+        };
         self
     }
 }
@@ -236,13 +266,13 @@ pub struct EngineStats {
     pub finished_cost: f64,
 }
 
-/// A believed expiration deadline for one item, ordered for a min-heap.
+/// A believed expiration deadline for one slot, ordered for a min-heap.
 /// `gen` is the refresh token: the node is live only while it matches
-/// the item's current generation.
+/// the slot's current generation.
 #[derive(Copy, Clone, Debug)]
 struct ExpiryNode {
     at: f64,
-    item: u64,
+    slot: usize,
     gen: u64,
 }
 
@@ -264,7 +294,7 @@ impl Ord for ExpiryNode {
         other
             .at
             .total_cmp(&self.at)
-            .then(other.item.cmp(&self.item))
+            .then(other.slot.cmp(&self.slot))
             .then(other.gen.cmp(&self.gen))
     }
 }
@@ -278,11 +308,16 @@ struct QueuedRequest {
     t: f64,
 }
 
-/// Per-item live state: one policy instance and one copy tracker, held
-/// open between requests.
+/// Per-item live state: one policy instance, one copy tracker and the
+/// running cost folds, held open between requests and reused by the next
+/// item admitted into the slot.
 struct ItemSlot {
     policy: RunPolicy,
     rt: Runtime<f64>,
+    fold: RunFold<f64>,
+    brownout: BrownoutFold,
+    /// Refresh token, monotone over the slot's whole life (across
+    /// occupants).
     gen: u64,
     last_t: f64,
     requests: usize,
@@ -293,13 +328,62 @@ struct ItemSlot {
     live: usize,
 }
 
+/// What [`Runtime::settle`] feeds: the cost fold, plus the brownout fold
+/// when the item runs under a plan with brownouts.
+struct SlotFold<'a> {
+    cost: &'a CostModel<f64>,
+    run: &'a mut RunFold<f64>,
+    brownout: Option<(&'a FaultPlan, &'a mut BrownoutFold)>,
+}
+
+impl RecordFold<f64> for SlotFold<'_> {
+    fn copy(&mut self, r: &CopyRecord<f64>) {
+        self.run.copy(r, self.cost);
+        if let Some((plan, b)) = &mut self.brownout {
+            b.copy(plan, r, self.cost);
+        }
+    }
+    fn transfer(&mut self, t: &TransferRecord<f64>) {
+        self.run.transfer(self.cost);
+        if let Some((plan, b)) = &mut self.brownout {
+            b.transfer(plan, t, self.cost);
+        }
+    }
+}
+
 impl ItemSlot {
+    /// The item's policy as the decider seam, beside its runtime.
+    fn decider(&mut self) -> (&mut dyn OnlineDecider<f64>, &mut Runtime<f64>) {
+        match &mut self.policy {
+            RunPolicy::Plain(p) => (p.as_mut(), &mut self.rt),
+            RunPolicy::Tolerant(w) => (w.as_mut(), &mut self.rt),
+        }
+    }
+
     /// The item's next believed expiry, if its policy exposes one.
     fn next_expiry(&self) -> Option<f64> {
         match &self.policy {
             RunPolicy::Plain(p) => p.next_expiry(),
             RunPolicy::Tolerant(w) => w.next_expiry(),
         }
+    }
+
+    /// Folds and drops every record the runtime can release, and
+    /// refreshes the live-copy count; returns `(now, before)`.
+    fn settle(&mut self, cost: &CostModel<f64>) -> (usize, usize) {
+        let brownout = match &self.policy {
+            RunPolicy::Tolerant(w) if !w.plan().brownouts().is_empty() => {
+                Some((w.plan(), &mut self.brownout))
+            }
+            _ => None,
+        };
+        self.rt.settle(&mut SlotFold {
+            cost,
+            run: &mut self.fold,
+            brownout,
+        });
+        let live_now = self.rt.live_copies();
+        (live_now, std::mem::replace(&mut self.live, live_now))
     }
 }
 
@@ -311,7 +395,11 @@ impl ItemSlot {
 pub struct ServeEngine<'s> {
     cfg: ServeConfig,
     factory: PolicyFactory,
-    items: HashMap<u64, ItemSlot>,
+    /// Item id → index into `slots`.
+    index: HashMap<u64, usize>,
+    slots: Vec<ItemSlot>,
+    /// Slots freed by `finish`, reused before the slab grows.
+    free: Vec<usize>,
     heap: BinaryHeap<ExpiryNode>,
     offline: VecDeque<QueuedRequest>,
     replayed: Vec<ReplayNote>,
@@ -328,7 +416,9 @@ impl ServeEngine<'static> {
         ServeEngine {
             cfg,
             factory,
-            items: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             heap: BinaryHeap::new(),
             offline: VecDeque::new(),
             replayed: Vec::new(),
@@ -347,7 +437,9 @@ impl<'s> ServeEngine<'s> {
         ServeEngine {
             cfg: self.cfg,
             factory: self.factory,
-            items: self.items,
+            index: self.index,
+            slots: self.slots,
+            free: self.free,
             heap: self.heap,
             offline: self.offline,
             replayed: self.replayed,
@@ -366,7 +458,7 @@ impl<'s> ServeEngine<'s> {
     /// Current aggregate counters (items/copies fields refreshed).
     pub fn stats(&self) -> EngineStats {
         let mut s = self.stats;
-        s.items_live = self.items.len() as u64;
+        s.items_live = self.index.len() as u64;
         s.copies_live = self.copies_live as u64;
         s
     }
@@ -389,29 +481,29 @@ impl<'s> ServeEngine<'s> {
             return self.shed(item, ShedReason::BadServer);
         }
         self.sweep(t);
-        if !self.items.contains_key(&item) {
-            if let Some(reason) = self.admission_check() {
-                return self.shed(item, reason);
+        let idx = match self.index.get(&item) {
+            Some(&idx) => idx,
+            None => {
+                if let Some(reason) = self.admission_check() {
+                    return self.shed(item, reason);
+                }
+                self.admit(item)
             }
-            self.admit(item);
-        }
+        };
         // Decide inside a narrow borrow of the slot; engine-level state
         // (heap, queue, counters) updates after the borrow ends.
         let (action, live_now, prev_live, rearm) = {
-            let Some(slot) = self.items.get_mut(&item) else {
-                // Unreachable (just admitted), but shedding beats
-                // panicking in a no-panic crate.
+            let Some(slot) = self.slots.get_mut(idx) else {
+                // Unreachable (the index names live slots), but shedding
+                // beats panicking in a no-panic crate.
                 return self.shed(item, ShedReason::MaxItems);
             };
             if t < slot.last_t {
                 return self.shed(item, ShedReason::TimeRegression);
             }
             slot.gen += 1;
-            let req = Request::new(ServerId(server), t);
-            let decision = match &mut slot.policy {
-                RunPolicy::Plain(p) => p.observe(req, &mut slot.rt),
-                RunPolicy::Tolerant(w) => w.observe(req, &mut slot.rt),
-            };
+            let (decider, rt) = slot.decider();
+            let decision = decider.observe(Request::new(ServerId(server), t), rt);
             slot.last_t = t;
             slot.requests += 1;
             match decision.action {
@@ -419,11 +511,10 @@ impl<'s> ServeEngine<'s> {
                 ServeAction::Deferred => slot.deferred += 1,
                 ServeAction::Transfer { .. } => {}
             }
-            let live_now = slot.rt.live_copies();
-            let prev = std::mem::replace(&mut slot.live, live_now);
+            let (live_now, prev) = slot.settle(&self.cfg.cost);
             let rearm = slot.next_expiry().map(|at| ExpiryNode {
                 at,
-                item,
+                slot: idx,
                 gen: slot.gen,
             });
             (decision.action, live_now, prev, rearm)
@@ -475,48 +566,53 @@ impl<'s> ServeEngine<'s> {
         self.drain_recovered(t);
     }
 
-    /// Closes `item`: drains its policy, finalizes its copy record
-    /// exactly as batch replay would (shared [`finalize_record`] /
-    /// [`stats_from_record`] / fault-surcharge fold), and returns the
-    /// accounting. `None` for untracked items.
+    /// Closes `item`: drains its policy, finalizes what its runtime has
+    /// not settled yet exactly as batch replay would (shared
+    /// [`finalize_record`] / [`RunFold`] / [`BrownoutFold`] folds),
+    /// returns the accounting and frees the slot. `None` for untracked
+    /// items.
     pub fn finish(&mut self, item: u64) -> Option<ItemReport> {
-        let mut slot = self.items.remove(&item)?;
-        // Heap nodes for this item die lazily (popped nodes miss the
-        // map); queued offline requests are purged now.
+        let idx = self.index.remove(&item)?;
+        self.free.push(idx);
+        let slot = self.slots.get_mut(idx)?;
+        // Strands every heap node armed for this occupant; queued offline
+        // requests are purged now.
+        slot.gen += 1;
         self.offline.retain(|q| q.item != item);
         self.copies_live = self.copies_live.saturating_sub(slot.live);
         let horizon = slot.last_t;
         let requests = slot.requests;
         let (hits, deferred) = (slot.hits, slot.deferred);
         let cost = &self.cfg.cost;
-        let (online_cost, caching_cost, transfer_cost, transfers) = match &mut slot.policy {
+        let ItemSlot {
+            policy,
+            rt,
+            fold,
+            brownout,
+            ..
+        } = slot;
+        let (stats, online_cost) = match policy {
             RunPolicy::Plain(p) => {
                 p.on_finish();
-                let rec = finalize_record(p, &mut slot.rt, requests, horizon);
-                let stats = stats_from_record(rec, cost, hits, deferred);
-                (
-                    stats.total_cost,
-                    stats.caching_cost,
-                    stats.transfer_cost,
-                    stats.transfers,
-                )
+                fold.record(finalize_record(p, rt, requests, horizon), cost);
+                let stats = fold.stats(hits, deferred);
+                (stats, stats.total_cost)
             }
             RunPolicy::Tolerant(w) => {
                 w.on_finish();
-                let rec = finalize_record(w, &mut slot.rt, requests, horizon);
-                let stats = stats_from_record(rec, cost, hits, deferred);
+                let rec = finalize_record(w, rt, requests, horizon);
+                fold.record(rec, cost);
                 // The exact fold batch replay applies (`seed_faulty_body`
-                // in mcc-simnet): brownout surcharge from the finished
-                // record geometry, then the wrapper surcharges, in this
-                // order — bit-identical totals.
-                let sur = brownout_surcharge(w.plan(), rec, cost);
+                // in mcc-simnet): brownout surcharge from the record
+                // geometry, then the wrapper surcharges, in this order —
+                // bit-identical totals.
+                let sur = brownout.finish(w.plan(), rec, cost);
                 w.stats_mut().brownout_cost = sur;
                 let f = w.stats();
+                let stats = fold.stats(hits, deferred);
                 (
+                    stats,
                     stats.total_cost + sur + f.retry_cost + f.replay_cost + f.reseed_cost,
-                    stats.caching_cost,
-                    stats.transfer_cost,
-                    stats.transfers,
                 )
             }
         };
@@ -527,18 +623,18 @@ impl<'s> ServeEngine<'s> {
             item,
             requests: requests as u64,
             cache_hits: hits as u64,
-            transfers: transfers as u64,
+            transfers: stats.transfers as u64,
             deferred: deferred as u64,
             online_cost,
-            caching_cost,
-            transfer_cost,
+            caching_cost: stats.caching_cost,
+            transfer_cost: stats.transfer_cost,
         })
     }
 
     /// Finishes every tracked item (ascending item id for determinism)
     /// and returns the reports.
     pub fn finish_all(&mut self) -> Vec<ItemReport> {
-        let mut ids: Vec<u64> = self.items.keys().copied().collect();
+        let mut ids: Vec<u64> = self.index.keys().copied().collect();
         ids.sort_unstable();
         ids.into_iter().filter_map(|id| self.finish(id)).collect()
     }
@@ -550,7 +646,7 @@ impl<'s> ServeEngine<'s> {
     }
 
     fn admission_check(&self) -> Option<ShedReason> {
-        if self.items.len() >= self.cfg.max_items {
+        if self.index.len() >= self.cfg.max_items {
             Some(ShedReason::MaxItems)
         } else if self.copies_live >= self.cfg.max_copies {
             Some(ShedReason::MaxCopies)
@@ -559,35 +655,59 @@ impl<'s> ServeEngine<'s> {
         }
     }
 
-    /// Builds and registers a fresh slot for `item`: exactly the state
-    /// batch replay sets up per run (policy reset + fresh runtime).
-    fn admit(&mut self, item: u64) {
-        let mut policy = match &self.cfg.plan {
-            Some(plan) => RunPolicy::Tolerant(FaultTolerant::new((self.factory)(), plan.clone())),
-            None => RunPolicy::Plain((self.factory)()),
+    /// Registers `item` in a slot holding exactly the state batch replay
+    /// sets up per run (policy reset + fresh runtime): a freed slot reset
+    /// in place, or a new one. Returns the slot index.
+    fn admit(&mut self, item: u64) -> usize {
+        let (servers, cost) = (self.cfg.servers, &self.cfg.cost);
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                let policy = match &self.cfg.plan {
+                    Some(plan) => RunPolicy::Tolerant(Box::new(FaultTolerant::new(
+                        (self.factory)(),
+                        Arc::clone(plan),
+                    ))),
+                    None => RunPolicy::Plain((self.factory)()),
+                };
+                self.slots.push(ItemSlot {
+                    policy,
+                    rt: Runtime::new(servers),
+                    fold: RunFold::default(),
+                    brownout: BrownoutFold::default(),
+                    gen: 0,
+                    last_t: 0.0,
+                    requests: 0,
+                    hits: 0,
+                    deferred: 0,
+                    live: 0,
+                });
+                self.slots.len() - 1
+            }
         };
-        match &mut policy {
-            RunPolicy::Plain(p) => p.reset(self.cfg.servers, &self.cfg.cost),
-            RunPolicy::Tolerant(w) => w.reset(self.cfg.servers, &self.cfg.cost),
+        if let Some(slot) = self.slots.get_mut(idx) {
+            match &mut slot.policy {
+                RunPolicy::Plain(p) => p.reset(servers, cost),
+                RunPolicy::Tolerant(w) => w.reset(servers, cost),
+            }
+            slot.rt.reset(servers);
+            slot.fold = RunFold::default();
+            slot.brownout.reset();
+            slot.last_t = 0.0;
+            slot.requests = 0;
+            slot.hits = 0;
+            slot.deferred = 0;
+            slot.live = 1; // the origin copy a reset runtime opens
         }
-        let slot = ItemSlot {
-            policy,
-            rt: Runtime::new(self.cfg.servers),
-            gen: 0,
-            last_t: 0.0,
-            requests: 0,
-            hits: 0,
-            deferred: 0,
-            live: 1, // the origin copy Runtime::new opens
-        };
         self.copies_live += 1;
-        self.items.insert(item, slot);
-        self.stats.items_peak = self.stats.items_peak.max(self.items.len() as u64);
+        self.index.insert(item, idx);
+        self.stats.items_peak = self.stats.items_peak.max(self.index.len() as u64);
         self.stats.copies_peak = self.stats.copies_peak.max(self.copies_live as u64);
         self.sink
-            .gauge_max(Gauge::ServeItemsPeak, self.items.len() as u64);
+            .gauge_max(Gauge::ServeItemsPeak, self.index.len() as u64);
         self.sink
             .gauge_max(Gauge::ServeCopiesPeak, self.copies_live as u64);
+        idx
     }
 
     /// Pops every heap node due strictly before `until`; live nodes fire
@@ -603,22 +723,19 @@ impl<'s> ServeEngine<'s> {
             }
             let Some(node) = self.heap.pop() else { break };
             let (live_now, prev, rearm) = {
-                let Some(slot) = self.items.get_mut(&node.item) else {
-                    continue; // finished item: node is garbage
+                let Some(slot) = self.slots.get_mut(node.slot) else {
+                    continue;
                 };
                 if node.gen != slot.gen {
-                    continue; // refreshed since armed: stale node
+                    continue; // refreshed or finished since armed: stale
                 }
                 slot.gen += 1;
-                match &mut slot.policy {
-                    RunPolicy::Plain(p) => p.expire(until, &mut slot.rt),
-                    RunPolicy::Tolerant(w) => w.expire(until, &mut slot.rt),
-                }
-                let live_now = slot.rt.live_copies();
-                let prev = std::mem::replace(&mut slot.live, live_now);
+                let (decider, rt) = slot.decider();
+                decider.expire(until, rt);
+                let (live_now, prev) = slot.settle(&self.cfg.cost);
                 let rearm = slot.next_expiry().map(|at| ExpiryNode {
                     at,
-                    item: node.item,
+                    slot: node.slot,
                     gen: slot.gen,
                 });
                 (live_now, prev, rearm)
@@ -786,7 +903,7 @@ mod tests {
         // stays (lazy sole-copy semantics).
         e.tick(100.0);
         assert!(e.stats().expirations >= 1);
-        let slot = e.items.get(&1).unwrap();
+        let slot = &e.slots[e.index[&1]];
         assert_eq!(slot.rt.live_copies(), 1);
     }
 
@@ -804,6 +921,52 @@ mod tests {
         );
         // Existing item 1 may still grow.
         assert!(matches!(e.observe(1, 2, 0.7), ServeReply::Decision(_)));
+    }
+
+    #[test]
+    fn finished_slots_are_reused_and_their_timers_go_stale() {
+        let mut e = engine(2);
+        // Two live copies: SC arms a deadline for item 1's slot.
+        e.observe(1, 1, 1.0);
+        assert!(!e.heap.is_empty());
+        assert!(e.finish(1).is_some());
+        // Item 2 takes the freed slot; its lone origin copy arms nothing.
+        e.observe(2, 0, 1.2);
+        assert_eq!(e.slots.len(), 1);
+        assert_eq!(e.index[&2], 0);
+        // Item 1's node is stale: it must not fire against item 2.
+        e.tick(100.0);
+        assert_eq!(e.stats().expirations, 0);
+        let report = e.finish(2).unwrap();
+        assert_eq!(report.requests, 1);
+        assert_eq!(report.cache_hits, 1);
+    }
+
+    #[test]
+    fn fault_wrapped_items_share_one_plan() {
+        use mcc_core::online::CrashWindow;
+        let plan = FaultPlan::new(
+            vec![CrashWindow {
+                server: ServerId(1),
+                from: 5.0,
+                to: 6.0,
+            }],
+            7,
+            0.0,
+            0,
+            0.0,
+        );
+        let cfg = ServeConfig::new(2, CostModel::unit()).with_plan(plan);
+        let mut e = ServeEngine::new(cfg, factory(SpeculativeCaching::paper()));
+        e.observe(1, 0, 0.5);
+        e.observe(2, 1, 0.6);
+        let plan_of = |item: u64| match &e.slots[e.index[&item]].policy {
+            RunPolicy::Tolerant(w) => w.plan() as *const FaultPlan,
+            RunPolicy::Plain(_) => panic!("item {item} runs without its plan"),
+        };
+        let shared = e.cfg.plan.as_deref().unwrap() as *const FaultPlan;
+        assert_eq!(plan_of(1), shared);
+        assert_eq!(plan_of(2), shared);
     }
 
     #[test]

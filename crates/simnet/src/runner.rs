@@ -184,16 +184,14 @@ impl RunMode {
 /// A policy instance shaped for a [`RunMode`]: plain, or behind the
 /// fault-tolerant wrapper. Build one with [`RunRequest::policy`] and
 /// reuse it across the seeds of a cell (the executor resets it per run);
-/// rebuild it when the mode changes cells.
-// One RunPolicy exists per (cell, worker), not per seed — boxing the
-// tolerant arm would buy nothing but an extra indirection on the hot
-// dispatch.
-#[allow(clippy::large_enum_variant)]
+/// rebuild it when the mode changes cells. The serve engine keeps one
+/// per tracked item, so the tolerant arm is boxed: a plain item does not
+/// pay for the wrapper's size.
 pub enum RunPolicy {
     /// Healthy cell, or a fault cell run oblivious.
     Plain(Box<dyn OnlineDecider<f64>>),
     /// Fault cell run behind the fault-tolerant wrapper.
-    Tolerant(FaultTolerant<Box<dyn OnlineDecider<f64>>>),
+    Tolerant(Box<FaultTolerant<Box<dyn OnlineDecider<f64>>>>),
 }
 
 /// The run pipeline's single front door: one value owns the workspace,
@@ -648,7 +646,9 @@ fn record_seed(sink: &dyn Sink, requests: usize, r: &SeedResult) {
 /// Builds the [`RunPolicy`] variant `mode` calls for.
 fn policy_for(mode: RunMode, factory: &PolicyFactory) -> RunPolicy {
     match mode {
-        RunMode::Faulty(_) => RunPolicy::Tolerant(FaultTolerant::new(factory(), FaultPlan::none())),
+        RunMode::Faulty(_) => {
+            RunPolicy::Tolerant(Box::new(FaultTolerant::new(factory(), FaultPlan::none())))
+        }
         RunMode::Plain | RunMode::Oblivious(_) => RunPolicy::Plain(factory()),
     }
 }
@@ -671,18 +671,18 @@ fn dispatch(
     match (mode, policy) {
         (RunMode::Plain, RunPolicy::Plain(p)) => seed_core(p.as_mut(), seed, inst, opt, ws, sink),
         (RunMode::Faulty(spec), RunPolicy::Tolerant(w)) => {
-            seed_faulty_core(w, &spec, seed, inst, opt, ws, sink)
+            seed_faulty_core(w.as_mut(), &spec, seed, inst, opt, ws, sink)
         }
         (RunMode::Oblivious(spec), RunPolicy::Plain(p)) => {
             seed_oblivious_core(p.as_mut(), &spec, seed, inst, opt, ws, sink)
         }
         (RunMode::Plain, RunPolicy::Tolerant(w)) => {
             *w.plan_mut() = FaultPlan::none();
-            seed_core(w, seed, inst, opt, ws, sink)
+            seed_core(w.as_mut(), seed, inst, opt, ws, sink)
         }
         (RunMode::Oblivious(spec), RunPolicy::Tolerant(w)) => {
             *w.plan_mut() = FaultPlan::none();
-            seed_oblivious_core(w, &spec, seed, inst, opt, ws, sink)
+            seed_oblivious_core(w.as_mut(), &spec, seed, inst, opt, ws, sink)
         }
         (RunMode::Faulty(spec), RunPolicy::Plain(p)) => {
             seed_oblivious_core(p.as_mut(), &spec, seed, inst, opt, ws, sink)
