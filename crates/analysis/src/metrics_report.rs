@@ -205,9 +205,10 @@ pub fn render_metrics(snap: &MetricsSnapshot) -> String {
         if events > 0 || snap.gauge(Gauge::FleetCapacitySlots) > 0 {
             let _ = writeln!(
                 out,
-                "  capacity: {} slots/server  events: {events}  occupancy peak: {}",
+                "  capacity: {} slots/server  events: {events}  occupancy peak: {}  harvest: {} B",
                 snap.gauge(Gauge::FleetCapacitySlots),
-                snap.gauge(Gauge::FleetOccupancyPeak)
+                snap.gauge(Gauge::FleetOccupancyPeak),
+                snap.gauge(Gauge::FleetCapacityHarvestBytes)
             );
             let _ = writeln!(
                 out,
@@ -412,6 +413,7 @@ mod tests {
         reg.gauge_max(Gauge::FleetSize, 1_000_000);
         reg.gauge_max(Gauge::FleetCapacitySlots, 64);
         reg.gauge_max(Gauge::FleetOccupancyPeak, 61);
+        reg.gauge_max(Gauge::FleetCapacityHarvestBytes, 296_288);
         reg.observe(Hist::FleetItemCostCenti, 250);
         reg.observe(Hist::FleetServerOccupancyPeak, 61);
         let out = render_metrics(&reg.snapshot());
@@ -419,5 +421,6 @@ mod tests {
         assert!(out.contains("item cost ×100"), "{out}");
         assert!(out.contains("srv occupancy"), "{out}");
         assert!(out.contains("evictions: 678"), "{out}");
+        assert!(out.contains("harvest: 296288 B"), "{out}");
     }
 }

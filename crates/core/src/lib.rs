@@ -11,7 +11,9 @@
 //!   (Section V), its Double-Transfer analysis transformation, the V-/H-
 //!   reductions, and online baseline policies;
 //! * [`hetero`] — the heterogeneous-cost extension (the paper's
-//!   future-work direction), with honestly restricted guarantees.
+//!   future-work direction), with honestly restricted guarantees;
+//! * [`keyed_heap`] — the indexed min-heap the fleet's capacity sweep and
+//!   the serve engine's timers share.
 
 #![forbid(unsafe_code)]
 // `!(a > b)` is used deliberately where NaN must be rejected alongside
@@ -20,5 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod hetero;
+pub mod keyed_heap;
 pub mod offline;
 pub mod online;

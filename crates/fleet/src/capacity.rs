@@ -2,12 +2,14 @@
 //!
 //! Phase 1 harvests every item's copy-residency intervals (borrowed out
 //! of the run records through [`mcc_simnet::RunRequest::run_units_observed`],
-//! never recomputed) as start/end [`CopyEvent`]s, and each worker files
-//! them into one bucket per server ([`ServerBuckets`]). Servers never
-//! share a slot, so each server's timeline is swept on its own: its
-//! buckets from every worker are gathered into one reused buffer, sorted
-//! by `(time, kind, item)` — ends before starts at equal times — and
-//! replayed against the slot budget.
+//! never recomputed), each stored once as a 32-byte [`Residency`], into
+//! one list per server ([`ServerBuckets`]); each worker sorts its lists
+//! by `(from, item)` on its own thread before the join. Servers never
+//! share a slot, so each server's timeline is swept on its own: the
+//! workers' sorted runs are merged into one start order (shards are
+//! contiguous, ascending item ranges, so this is the order one global
+//! sort would give), and the server's ends are gathered into a reused
+//! lane of 16-byte `(to, item)` pairs sorted by `to`.
 //!
 //! Pressure is resolved one of two ways:
 //!
@@ -24,13 +26,16 @@
 //! capacity covers every item is bit-identical to independent runs (the
 //! conservation proptests pin this).
 //!
-//! The replay holds only the server's *current* residents, in an indexed
-//! min-heap keyed by `(last_touch bits, item)` with each item's heap
-//! position: an end removes its resident (an interval an eviction
-//! already closed is simply absent), and a start on a full server
-//! replaces the minimum. Items are unique among one server's residents,
-//! so the item index breaks last-touch ties and the victim is a pure
-//! function of the server's sorted events.
+//! The replay holds only the server's *current* residents, in a
+//! [`KeyedHeap`] keyed by `(last_touch bits, item)`. Before each start
+//! it removes every resident whose end is at or before that start, so an
+//! interval ending exactly when another starts frees its slot first (an
+//! interval an eviction already closed is simply absent); a start on a
+//! full server then replaces the minimum. The order among equal ends
+//! cannot be observed: removals commute on the resident set, and items
+//! are unique among one server's residents, so the victim — the unique
+//! `(last_touch, item)` minimum — is a pure function of that set.
+//! Capacity events still count two per interval, a start and an end.
 //!
 //! Determinism: servers are dealt in contiguous ranges to
 //! `min(threads, servers)` sweepers, and no server's outcome depends on
@@ -41,55 +46,37 @@
 use std::panic;
 use std::thread;
 
+use mcc_core::keyed_heap::{key_time, time_key, KeyedHeap};
 use mcc_obs::{Counter, Gauge, Hist, Sink};
 use mcc_simnet::AuditFinding;
 
 use crate::spec::{EvictionPolicy, FleetSpec};
 
-/// End events sort before start events at equal times: an interval
-/// ending exactly when another starts frees its slot first.
-const KIND_END: u8 = 0;
-/// See [`KIND_END`].
-const KIND_START: u8 = 1;
-
-/// Integer image of `t` whose unsigned order is [`f64::total_cmp`]'s.
-fn time_key(t: f64) -> u64 {
-    let b = t.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | 1 << 63
-    }
-}
-
-/// Inverse of [`time_key`].
-fn key_time(k: u64) -> f64 {
-    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
-}
-
-/// One residency boundary: a copy of `item` opening or closing on the
-/// server whose bucket holds the event. `last_touch` (raw bits) rides
-/// along to key the LRU.
+/// One copy residency: `item` holds a copy on the server whose list
+/// holds this interval from `from` to `to` ([`time_key`]s), last touched
+/// at `last_touch` (raw bits, the LRU key).
 #[derive(Copy, Clone, Debug)]
-struct CopyEvent {
-    time: u64,
+struct Residency {
+    from: u64,
+    to: u64,
     last_touch: u64,
     item: u32,
-    kind: u8,
 }
 
-impl CopyEvent {
-    /// The replay order within one server.
-    fn order(&self) -> (u64, u8, u32) {
-        (self.time, self.kind, self.item)
+impl Residency {
+    /// The order starts are replayed in; unique within one server, since
+    /// one item's intervals there never overlap.
+    fn start_order(&self) -> (u64, u32) {
+        (self.from, self.item)
     }
 }
 
-/// One worker's harvest: the residency events of its shard, one list per
-/// server. Warm reuse keeps every list's capacity.
+/// One worker's harvest: the residency intervals of its shard, one list
+/// per server, each sorted into start order by [`ServerBuckets::sort`].
+/// Warm reuse keeps every list's capacity.
 #[derive(Default)]
 pub(crate) struct ServerBuckets {
-    lists: Vec<Vec<CopyEvent>>,
+    lists: Vec<Vec<Residency>>,
 }
 
 impl ServerBuckets {
@@ -101,19 +88,23 @@ impl ServerBuckets {
         }
     }
 
-    /// Files one residency interval of `item` on `server`: its start at
-    /// `from` and its end at `to`. Intervals of one item on one server
-    /// must not overlap and must have positive length.
+    /// Files one residency interval of `item` on `server`, open from
+    /// `from` to `to`. Intervals of one item on one server must not
+    /// overlap and must have positive length.
     pub(crate) fn push(&mut self, item: u32, server: usize, from: f64, last_touch: f64, to: f64) {
-        let list = &mut self.lists[server];
-        let last_touch = last_touch.to_bits();
-        for (time, kind) in [(from, KIND_START), (to, KIND_END)] {
-            list.push(CopyEvent {
-                time: time_key(time),
-                last_touch,
-                item,
-                kind,
-            });
+        self.lists[server].push(Residency {
+            from: time_key(from),
+            to: time_key(to),
+            last_touch: last_touch.to_bits(),
+            item,
+        });
+    }
+
+    /// Sorts every list by `(from, item)`. Each worker sorts its own
+    /// harvest on its own thread, so the sweep only merges sorted runs.
+    pub(crate) fn sort(&mut self) {
+        for list in &mut self.lists {
+            list.sort_unstable_by_key(Residency::start_order);
         }
     }
 }
@@ -123,118 +114,6 @@ impl ServerBuckets {
 /// samples for reports, not the ledger).
 const FINDINGS_CAP: usize = 16;
 
-/// Heap position of an item that is not resident.
-const ABSENT: u32 = u32::MAX;
-
-/// One server's current residents: a binary min-heap of
-/// `(last_touch bits, item)` plus every item's heap index (`ABSENT` when
-/// not resident), so an end event removes its resident in `O(log cap)`.
-#[derive(Default)]
-struct Residents {
-    heap: Vec<(u64, u32)>,
-    pos: Vec<u32>,
-}
-
-impl Residents {
-    /// Empties the set and sizes the position array for `items` items.
-    fn reset(&mut self, items: usize) {
-        self.heap.clear();
-        self.pos.clear();
-        self.pos.resize(items, ABSENT);
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn insert(&mut self, touch: u64, item: u32) {
-        debug_assert_eq!(self.pos[item as usize], ABSENT, "start on an open interval");
-        self.heap.push((touch, item));
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    /// Removes `item` if it is resident.
-    fn remove(&mut self, item: u32) {
-        let i = self.pos[item as usize];
-        if i == ABSENT {
-            return;
-        }
-        self.pos[item as usize] = ABSENT;
-        let Some(last) = self.heap.pop() else {
-            return;
-        };
-        // Unless `item` was the last entry, the last entry fills its
-        // hole and may belong above or below it.
-        let i = i as usize;
-        if i < self.heap.len() {
-            self.heap[i] = last;
-            if i > 0 && last < self.heap[(i - 1) / 2] {
-                self.sift_up(i);
-            } else {
-                self.sift_down(i);
-            }
-        }
-    }
-
-    /// Evicts the least recently touched resident in favour of
-    /// `(touch, item)` and returns the victim; `None` when empty.
-    fn replace_min(&mut self, touch: u64, item: u32) -> Option<u32> {
-        let victim = self.heap.first()?.1;
-        self.pos[victim as usize] = ABSENT;
-        self.heap[0] = (touch, item);
-        self.sift_down(0);
-        Some(victim)
-    }
-
-    /// Empties the set, resetting only the members' positions.
-    fn clear(&mut self) {
-        for &(_, item) in &self.heap {
-            self.pos[item as usize] = ABSENT;
-        }
-        self.heap.clear();
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[parent] < e {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            self.pos[self.heap[i].1 as usize] = i as u32;
-            i = parent;
-        }
-        self.heap[i] = e;
-        self.pos[e.1 as usize] = i as u32;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.heap[i];
-        let n = self.heap.len();
-        loop {
-            let left = 2 * i + 1;
-            if left >= n {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < n && self.heap[right] < self.heap[left] {
-                right
-            } else {
-                left
-            };
-            if e < self.heap[child] {
-                break;
-            }
-            self.heap[i] = self.heap[child];
-            self.pos[self.heap[i].1 as usize] = i as u32;
-            i = child;
-        }
-        self.heap[i] = e;
-        self.pos[e.1 as usize] = i as u32;
-    }
-}
-
 /// The per-server budget: `cap` slots, LRU eviction or none.
 #[derive(Copy, Clone)]
 struct Budget {
@@ -242,12 +121,16 @@ struct Budget {
     lru: bool,
 }
 
-/// One sweeper's replay storage: the gathered events of the server at
-/// hand and its residents.
+/// One sweeper's replay storage: the ends of the server at hand, a
+/// cursor into every worker's starts there, and its residents.
 #[derive(Default)]
 struct Lane {
-    events: Vec<CopyEvent>,
-    residents: Residents,
+    /// `(to, item)` per interval on the server at hand, sorted by `to`.
+    ends: Vec<(u64, u32)>,
+    /// Per worker, the index of its next start on the server at hand.
+    heads: Vec<usize>,
+    /// The current residents, keyed by `(last_touch bits, item)`.
+    residents: KeyedHeap,
 }
 
 impl Lane {
@@ -265,21 +148,28 @@ impl Lane {
     ) -> CapacityOutcome {
         let mut out = CapacityOutcome::default();
         for (s, peak) in (first..).zip(peaks.iter_mut()) {
-            self.events.clear();
+            self.ends.clear();
             for worker in harvest {
-                self.events.extend_from_slice(&worker.lists[s]);
+                self.ends
+                    .extend(worker.lists[s].iter().map(|r| (r.to, r.item)));
             }
-            self.events.sort_unstable_by_key(CopyEvent::order);
-            out.events += self.events.len() as u64;
+            // Equal ends may land in any order: removals commute.
+            self.ends.sort_unstable_by_key(|&(to, _)| to);
+            out.events += 2 * self.ends.len() as u64;
+            self.heads.clear();
+            self.heads.resize(harvest.len(), 0);
+            let mut ends = self.ends.iter().peekable();
             let res = &mut self.residents;
-            for ev in &self.events {
-                if ev.kind == KIND_END {
-                    res.remove(ev.item);
-                    continue;
+            while let Some(r) = next_start(harvest, s, &mut self.heads) {
+                // Every copy closed by this start frees its slot first;
+                // an interval an eviction already closed is absent.
+                while let Some(&(_, item)) = ends.next_if(|&&(to, _)| to <= r.from) {
+                    res.remove(item);
                 }
+                debug_assert!(!res.contains(r.item), "start on an open interval");
                 if res.len() >= budget.cap {
                     if budget.lru {
-                        if let Some(victim) = res.replace_min(ev.last_touch, ev.item) {
+                        if let Some(victim) = res.replace_min(r.last_touch, r.item) {
                             out.evictions += 1;
                             evictions[victim as usize] += 1;
                             continue;
@@ -292,14 +182,14 @@ impl Lane {
                         if findings.len() < FINDINGS_CAP {
                             findings.push(AuditFinding::CapacityViolation {
                                 server: s,
-                                at: key_time(ev.time),
+                                at: key_time(r.from),
                                 occupancy: res.len() + 1,
                                 capacity: budget.cap,
                             });
                         }
                     }
                 }
-                res.insert(ev.last_touch, ev.item);
+                res.set(r.last_touch, r.item);
                 *peak = (*peak).max(res.len());
             }
             out.peak = out.peak.max(*peak);
@@ -307,6 +197,22 @@ impl Lane {
         }
         out
     }
+}
+
+/// Takes the least `(from, item)` start on server `s` among the workers'
+/// sorted lists, advancing that worker's cursor in `heads`.
+fn next_start(harvest: &[ServerBuckets], s: usize, heads: &mut [usize]) -> Option<Residency> {
+    let mut best: Option<(usize, Residency)> = None;
+    for (w, (worker, &h)) in harvest.iter().zip(heads.iter()).enumerate() {
+        if let Some(&r) = worker.lists[s].get(h) {
+            if best.is_none_or(|(_, b)| r.start_order() < b.start_order()) {
+                best = Some((w, r));
+            }
+        }
+    }
+    let (w, r) = best?;
+    heads[w] += 1;
+    Some(r)
 }
 
 /// A sweeper after the first: its lane plus the eviction column and
@@ -433,6 +339,14 @@ pub(crate) fn capacity_sweep(
     for &p in &scratch.peaks {
         sink.observe(Hist::FleetServerOccupancyPeak, p as u64);
     }
+    // Every harvested interval, plus the largest ends lane a sweeper held.
+    let lane = (0..m)
+        .map(|s| harvest.iter().map(|w| w.lists[s].len()).sum::<usize>())
+        .max()
+        .unwrap_or(0);
+    let harvest_bytes = outcome.events / 2 * std::mem::size_of::<Residency>() as u64
+        + (lane * std::mem::size_of::<(u64, u32)>()) as u64;
+    sink.gauge_max(Gauge::FleetCapacityHarvestBytes, harvest_bytes);
     sink.add(Counter::FleetCapacityEvents, outcome.events);
     sink.add(Counter::FleetEvictions, outcome.evictions);
     sink.add_cost(Counter::FleetEvictionCostMicros, outcome.eviction_cost);
@@ -447,26 +361,51 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The sweep this module's per-server design replaced, kept as the
-    /// differential oracle: one global sort of every event by
-    /// `(server, time, kind, item)`, then a replay with a lazy heap of
-    /// every start ever pushed on the server, whose stale entries are
+    /// One residency interval with its server spelled out.
+    #[derive(Copy, Clone, Debug)]
+    struct Interval {
+        item: u32,
+        server: u32,
+        from: f64,
+        last_touch: f64,
+        to: f64,
+    }
+
+    fn iv(item: u32, server: u32, from: f64, last_touch: f64, to: f64) -> Interval {
+        Interval {
+            item,
+            server,
+            from,
+            last_touch,
+            to,
+        }
+    }
+
+    /// The sweep this module's design replaced, kept as the differential
+    /// oracle: every interval becomes a start and an end event, one
+    /// global sort orders all events by `(server, time, kind, item)` with
+    /// ends before starts at equal times, and a replay keeps a lazy heap
+    /// of every start ever pushed on the server, whose stale entries are
     /// skipped through per-`(item, server)` generation counters.
     mod oracle {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        use super::super::{CapacityOutcome, FINDINGS_CAP, KIND_END};
+        use super::super::{CapacityOutcome, FINDINGS_CAP};
+        use super::Interval;
         use mcc_simnet::AuditFinding;
+
+        const KIND_END: u8 = 0;
+        const KIND_START: u8 = 1;
 
         /// One residency boundary with its server spelled out.
         #[derive(Copy, Clone, Debug)]
-        pub struct CopyEvent {
-            pub time: f64,
-            pub last_touch: f64,
-            pub item: u32,
-            pub server: u32,
-            pub kind: u8,
+        struct CopyEvent {
+            time: f64,
+            last_touch: f64,
+            item: u32,
+            server: u32,
+            kind: u8,
         }
 
         /// `lru_price` is `None` for [`crate::EvictionPolicy::None`].
@@ -475,11 +414,23 @@ mod tests {
             cap: usize,
             lru_price: Option<f64>,
             items: usize,
-            mut events: Vec<CopyEvent>,
+            intervals: &[Interval],
         ) -> (CapacityOutcome, Vec<u32>, Vec<AuditFinding>) {
             let m = servers;
             let mut evictions_col = vec![0u32; items];
             let mut findings = Vec::new();
+            let mut events: Vec<CopyEvent> = intervals
+                .iter()
+                .flat_map(|i| {
+                    [(i.from, KIND_START), (i.to, KIND_END)].map(|(time, kind)| CopyEvent {
+                        time,
+                        last_touch: i.last_touch,
+                        item: i.item,
+                        server: i.server,
+                        kind,
+                    })
+                })
+                .collect();
             events.sort_unstable_by(|a, b| {
                 a.server
                     .cmp(&b.server)
@@ -559,47 +510,30 @@ mod tests {
         }
     }
 
-    use oracle::CopyEvent as Event;
-
-    fn iv(item: u32, server: u32, from: f64, last_touch: f64, to: f64) -> [Event; 2] {
-        [
-            Event {
-                time: from,
-                last_touch,
-                item,
-                server,
-                kind: KIND_START,
-            },
-            Event {
-                time: to,
-                last_touch,
-                item,
-                server,
-                kind: KIND_END,
-            },
-        ]
-    }
-
-    /// Runs the sweep over `events` dealt round-robin to `workers`
-    /// harvests, on `threads` sweepers.
+    /// Runs the sweep on `threads` sweepers over one harvest per worker,
+    /// as the fleet builds them: `cuts` split the items into contiguous
+    /// ascending shards (one per worker, some possibly empty), and each
+    /// harvest is sorted as its worker sorts it.
     fn run(
         spec: &FleetSpec,
         items: usize,
-        events: &[Event],
-        workers: usize,
+        intervals: &[Interval],
+        cuts: &[usize],
         threads: usize,
     ) -> (CapacityOutcome, Vec<u32>, Vec<AuditFinding>) {
-        let mut harvest: Vec<ServerBuckets> = (0..workers).map(|_| Default::default()).collect();
+        let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(items)).collect();
+        bounds.sort_unstable();
+        bounds.push(items);
+        let mut harvest: Vec<ServerBuckets> = bounds.iter().map(|_| Default::default()).collect();
         for h in &mut harvest {
             h.reset(spec.servers);
         }
-        for (i, ev) in events.iter().enumerate() {
-            harvest[i % workers].lists[ev.server as usize].push(CopyEvent {
-                time: time_key(ev.time),
-                last_touch: ev.last_touch.to_bits(),
-                item: ev.item,
-                kind: ev.kind,
-            });
+        for i in intervals {
+            let worker = bounds.partition_point(|&b| b <= i.item as usize);
+            harvest[worker].push(i.item, i.server as usize, i.from, i.last_touch, i.to);
+        }
+        for h in &mut harvest {
+            h.sort();
         }
         let mut col = vec![0u32; items];
         let mut findings = Vec::new();
@@ -623,12 +557,13 @@ mod tests {
         }
     }
 
-    /// The sweep on one thread, checked against the oracle.
+    /// The sweep of one worker's harvest on one thread, checked against
+    /// the oracle.
     fn sweep(
         eviction: EvictionPolicy,
         cap: usize,
         items: usize,
-        events: Vec<Event>,
+        intervals: &[Interval],
     ) -> (CapacityOutcome, Vec<u32>, Vec<AuditFinding>) {
         let spec = FleetSpec {
             servers: 2,
@@ -636,44 +571,27 @@ mod tests {
             eviction,
             ..FleetSpec::default()
         };
-        let got = run(&spec, items, &events, 1, 1);
-        let want = oracle::capacity_sweep(2, cap, lru_price(&spec), items, events);
+        let got = run(&spec, items, intervals, &[], 1);
+        let want = oracle::capacity_sweep(2, cap, lru_price(&spec), items, intervals);
         assert_eq!(got, want, "sweep diverged from the oracle");
         got
     }
 
     #[test]
-    fn time_keys_follow_total_order() {
-        let ts = [
-            f64::NEG_INFINITY,
-            -3.5,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            1.5,
-            f64::MAX,
-            f64::INFINITY,
-        ];
-        for a in ts {
-            assert_eq!(key_time(time_key(a)).to_bits(), a.to_bits());
-            for b in ts {
-                assert_eq!(time_key(a).cmp(&time_key(b)), a.total_cmp(&b), "{a} vs {b}");
-            }
-        }
+    fn intervals_and_ends_are_compact() {
+        assert_eq!(std::mem::size_of::<Residency>(), 32);
+        assert_eq!(std::mem::size_of::<(u64, u32)>(), 16);
     }
 
     #[test]
     fn under_capacity_timeline_is_untouched() {
-        let mut events = Vec::new();
-        events.extend(iv(0, 0, 0.0, 4.0, 5.0));
-        events.extend(iv(1, 0, 1.0, 2.0, 3.0));
-        let (out, col, findings) = sweep(EvictionPolicy::Lru { price: 2.0 }, 2, 2, events);
+        let intervals = [iv(0, 0, 0.0, 4.0, 5.0), iv(1, 0, 1.0, 2.0, 3.0)];
+        let (out, col, findings) = sweep(EvictionPolicy::Lru { price: 2.0 }, 2, 2, &intervals);
         assert_eq!(out.evictions, 0);
         assert_eq!(out.eviction_cost, 0.0);
         assert_eq!(out.violations, 0);
         assert_eq!(out.peak, 2);
-        assert_eq!(out.events, 4);
+        assert_eq!(out.events, 4, "a start and an end per interval");
         assert!(col.iter().all(|&c| c == 0));
         assert!(findings.is_empty());
     }
@@ -682,29 +600,27 @@ mod tests {
     fn lru_evicts_the_longest_unused_resident() {
         // Items 0 and 1 resident; 0's copy goes untouched after t=1,
         // 1's stays warm until t=9. Item 2 arriving at t=2 must evict 0.
-        let mut events = Vec::new();
-        events.extend(iv(0, 0, 0.0, 1.0, 10.0));
-        events.extend(iv(1, 0, 0.0, 9.0, 10.0));
-        events.extend(iv(2, 0, 2.0, 8.0, 10.0));
-        let (out, col, findings) = sweep(EvictionPolicy::Lru { price: 0.5 }, 2, 3, events);
+        let intervals = [
+            iv(0, 0, 0.0, 1.0, 10.0),
+            iv(1, 0, 0.0, 9.0, 10.0),
+            iv(2, 0, 2.0, 8.0, 10.0),
+        ];
+        let (out, col, findings) = sweep(EvictionPolicy::Lru { price: 0.5 }, 2, 3, &intervals);
         assert_eq!(out.evictions, 1);
         assert_eq!(out.eviction_cost, 0.5);
         assert_eq!(out.violations, 0);
         assert_eq!(out.peak, 2, "LRU keeps occupancy at the budget");
         assert_eq!(col, vec![1, 0, 0]);
         assert!(findings.is_empty());
-        // The evicted interval's own end event must not underflow the
+        // The evicted interval's own end must not underflow the
         // occupancy (the item is no longer resident, so the end is
         // skipped) — peak staying at 2 and evictions at 1 pin this.
     }
 
     #[test]
     fn disabled_eviction_reports_typed_violations() {
-        let mut events = Vec::new();
-        for item in 0..4u32 {
-            events.extend(iv(item, 1, 0.0, 5.0, 10.0));
-        }
-        let (out, col, findings) = sweep(EvictionPolicy::None, 2, 4, events);
+        let intervals: Vec<Interval> = (0..4u32).map(|item| iv(item, 1, 0.0, 5.0, 10.0)).collect();
+        let (out, col, findings) = sweep(EvictionPolicy::None, 2, 4, &intervals);
         assert_eq!(out.evictions, 0);
         assert_eq!(out.violations, 2, "items 2 and 3 overflow");
         assert_eq!(out.peak, 4, "over-capacity admissions still tracked");
@@ -726,30 +642,32 @@ mod tests {
     }
 
     #[test]
-    fn reopened_items_use_fresh_generations() {
+    fn evicted_items_reopen_cleanly() {
         // Item 0 is evicted, its first interval's end is skipped, and a
         // later interval of the same item must open and close cleanly.
-        let mut events = Vec::new();
-        events.extend(iv(0, 0, 0.0, 0.5, 4.0));
-        events.extend(iv(1, 0, 1.0, 9.0, 10.0));
-        events.extend(iv(2, 0, 2.0, 8.0, 10.0)); // evicts item 0 (cap 2)
-        events.extend(iv(0, 0, 6.0, 7.0, 8.0)); // item 0 returns
-        let (out, col, _) = sweep(EvictionPolicy::Lru { price: 1.0 }, 2, 3, events);
+        let intervals = [
+            iv(0, 0, 0.0, 0.5, 4.0),
+            iv(1, 0, 1.0, 9.0, 10.0),
+            iv(2, 0, 2.0, 8.0, 10.0), // evicts item 0 (cap 2)
+            iv(0, 0, 6.0, 7.0, 8.0),  // item 0 returns
+        ];
+        let (out, col, _) = sweep(EvictionPolicy::Lru { price: 1.0 }, 2, 3, &intervals);
         assert_eq!(out.evictions, 2, "item 0's return evicts the next-LRU");
         assert_eq!(col[0], 1);
         assert_eq!(out.peak, 2);
     }
 
     #[test]
-    fn event_order_in_the_input_does_not_matter() {
-        let mut a = Vec::new();
-        a.extend(iv(0, 0, 0.0, 1.0, 10.0));
-        a.extend(iv(1, 0, 0.0, 9.0, 10.0));
-        a.extend(iv(2, 0, 2.0, 8.0, 10.0));
-        let mut b = a.clone();
+    fn interval_order_in_the_input_does_not_matter() {
+        let a = [
+            iv(0, 0, 0.0, 1.0, 10.0),
+            iv(1, 0, 0.0, 9.0, 10.0),
+            iv(2, 0, 2.0, 8.0, 10.0),
+        ];
+        let mut b = a;
         b.reverse();
-        let ra = sweep(EvictionPolicy::Lru { price: 1.0 }, 2, 3, a);
-        let rb = sweep(EvictionPolicy::Lru { price: 1.0 }, 2, 3, b);
+        let ra = sweep(EvictionPolicy::Lru { price: 1.0 }, 2, 3, &a);
+        let rb = sweep(EvictionPolicy::Lru { price: 1.0 }, 2, 3, &b);
         assert_eq!(ra.0, rb.0);
         assert_eq!(ra.1, rb.1);
     }
@@ -757,26 +675,49 @@ mod tests {
     #[test]
     fn back_to_back_intervals_free_the_slot_first() {
         // Item 0 ends at exactly t=5; item 1 starts at t=5 on a cap-1
-        // server: the end sorts first, so no pressure.
-        let mut events = Vec::new();
-        events.extend(iv(0, 0, 0.0, 4.0, 5.0));
-        events.extend(iv(1, 0, 5.0, 9.0, 10.0));
-        let (out, _, findings) = sweep(EvictionPolicy::None, 1, 2, events);
+        // server: the end is removed first, so no pressure.
+        let intervals = [iv(0, 0, 0.0, 4.0, 5.0), iv(1, 0, 5.0, 9.0, 10.0)];
+        let (out, _, findings) = sweep(EvictionPolicy::None, 1, 2, &intervals);
         assert_eq!(out.violations, 0);
         assert_eq!(out.peak, 1);
         assert!(findings.is_empty());
     }
 
+    #[test]
+    fn equal_starts_across_workers_admit_the_lower_item_first() {
+        // A full one-slot server: item 0 is resident when items 1 (worker
+        // 0) and 2 (worker 1) both start at t=2. Item 1 must be admitted
+        // first, evicting item 0, and then be evicted by item 2; the
+        // other order would charge item 2's eviction instead.
+        let spec = FleetSpec {
+            servers: 1,
+            capacity: Some(1),
+            eviction: EvictionPolicy::Lru { price: 1.0 },
+            ..FleetSpec::default()
+        };
+        let intervals = [
+            iv(0, 0, 0.0, 0.5, 10.0),
+            iv(2, 0, 2.0, 3.0, 10.0),
+            iv(1, 0, 2.0, 3.0, 10.0),
+        ];
+        for threads in [1, 2] {
+            let (out, col, _) = run(&spec, 3, &intervals, &[2], threads);
+            assert_eq!(out.evictions, 2);
+            assert_eq!(col, vec![1, 1, 0], "{threads} sweeper(s)");
+        }
+    }
+
     /// A random interval set on a half-unit time grid (so starts, ends
-    /// and last touches tie often): per `(item, server)` a chain of up
-    /// to three non-overlapping intervals, each separated from the last
-    /// by a gap of 0 (back to back) to 1.5 time units.
-    fn random_intervals() -> impl Strategy<Value = (usize, usize, Vec<Event>)> {
+    /// and last touches tie often, within and across shards): per
+    /// `(item, server)` a chain of up to three non-overlapping intervals,
+    /// each separated from the last by a gap of 0 (back to back) to 1.5
+    /// time units.
+    fn random_intervals() -> impl Strategy<Value = (usize, usize, Vec<Interval>)> {
         (1usize..=16, 1usize..=3).prop_flat_map(|(items, servers)| {
             let chain = (0usize..=3)
                 .prop_flat_map(|len| proptest::collection::vec((0u8..4, 1u8..5, 0u8..5), len));
             proptest::collection::vec(chain, items * servers).prop_map(move |chains| {
-                let mut events = Vec::new();
+                let mut intervals = Vec::new();
                 for (slot, chain) in chains.into_iter().enumerate() {
                     let (item, server) = ((slot / servers) as u32, (slot % servers) as u32);
                     let mut t = 0.0;
@@ -784,11 +725,11 @@ mod tests {
                         let from = t + f64::from(gap) * 0.5;
                         let to = from + f64::from(len) * 0.5;
                         let last_touch = from + f64::from(touch.min(len)) * 0.5;
-                        events.extend(iv(item, server, from, last_touch, to));
+                        intervals.push(iv(item, server, from, last_touch, to));
                         t = to;
                     }
                 }
-                (items, servers, events)
+                (items, servers, intervals)
             })
         })
     }
@@ -798,10 +739,10 @@ mod tests {
 
         #[test]
         fn per_server_sweep_matches_the_global_sort_oracle(
-            (items, servers, events) in random_intervals(),
+            (items, servers, intervals) in random_intervals(),
             cap in 1usize..=6,
             lru in prop_oneof![Just(true), Just(false)],
-            workers in 1usize..=3,
+            cuts in (0usize..=3).prop_flat_map(|n| proptest::collection::vec(0usize..=16, n)),
             threads in 1usize..=4,
         ) {
             let spec = FleetSpec {
@@ -814,52 +755,11 @@ mod tests {
                 },
                 ..FleetSpec::default()
             };
-            let want = oracle::capacity_sweep(servers, cap, lru_price(&spec), items, events.clone());
-            let got = run(&spec, items, &events, workers, threads);
+            let want = oracle::capacity_sweep(servers, cap, lru_price(&spec), items, &intervals);
+            let got = run(&spec, items, &intervals, &cuts, threads);
             prop_assert_eq!(got.0, want.0, "outcome");
             prop_assert_eq!(got.1, want.1, "per-item evictions");
             prop_assert_eq!(got.2, want.2, "findings");
-        }
-
-        #[test]
-        fn residents_track_a_sorted_set_model(
-            ops in proptest::collection::vec((0u8..3, 0u32..24, 0u64..6), 200),
-        ) {
-            let mut res = Residents::default();
-            res.reset(24);
-            let mut model = std::collections::BTreeSet::new();
-            let mut touch_of = [None; 24];
-            for (op, item, touch) in ops {
-                let open = touch_of[item as usize];
-                match (op, open) {
-                    (0, None) => {
-                        res.insert(touch, item);
-                        model.insert((touch, item));
-                        touch_of[item as usize] = Some(touch);
-                    }
-                    (1, Some(t)) => {
-                        res.remove(item);
-                        model.remove(&(t, item));
-                        touch_of[item as usize] = None;
-                    }
-                    (1, None) => res.remove(item),
-                    (2, None) => {
-                        let victim = model.pop_first().map(|(_, v)| v);
-                        prop_assert_eq!(res.replace_min(touch, item), victim);
-                        if let Some(v) = victim {
-                            touch_of[v as usize] = None;
-                            model.insert((touch, item));
-                            touch_of[item as usize] = Some(touch);
-                        }
-                    }
-                    _ => {}
-                }
-                prop_assert_eq!(res.len(), model.len());
-                prop_assert_eq!(res.heap.first(), model.first());
-                for (i, &(_, member)) in res.heap.iter().enumerate() {
-                    prop_assert_eq!(res.pos[member as usize] as usize, i);
-                }
-            }
         }
     }
 }

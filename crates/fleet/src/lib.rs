@@ -24,6 +24,11 @@
 //!   brownouts) charges evictions into the cost model, and with eviction
 //!   disabled the sweep reports typed
 //!   [`mcc_simnet::AuditFinding::CapacityViolation`] findings instead.
+//!   Each worker harvests its shard's copy residencies as one 32-byte
+//!   interval each and sorts them by start on its own thread; the sweep
+//!   merges those runs per server and frees slots from a 16-byte-per-
+//!   interval ends lane, so the capacity phase adds about 19 bytes per
+//!   capacity event (two per interval) to the fleet's peak memory.
 //!
 //! Entry point: [`run_fleet`] with a reusable [`FleetWorkspace`]. See
 //! DESIGN.md §12 for the architecture and EXPERIMENTS.md E21 for the

@@ -16,8 +16,10 @@
 //! With capacity enforcement on, workers also harvest every item's copy
 //! residency intervals through [`RunRequest::run_units_observed`] —
 //! borrowed out of the run record between finalize and reset, never
-//! recomputed — into one event bucket per server. Phase 2 (the private
-//! `capacity` module) then sweeps each server's timeline against its
+//! recomputed — into one list per server, one 32-byte interval per
+//! residency, and sort those lists by start on their own thread before
+//! the join. Phase 2 (the private `capacity` module) then merges the
+//! workers' sorted runs and sweeps each server's timeline against its
 //! slot budget, dealing the servers across the job's threads.
 
 use std::panic;
@@ -61,7 +63,7 @@ pub struct FleetWorkspace {
     states: ItemStates,
     seeds: Vec<u64>,
     slots: Vec<WorkerSlot>,
-    /// Per-worker residency events, one bucket per server.
+    /// Per-worker residency intervals, one sorted list per server.
     harvest: Vec<ServerBuckets>,
     /// Cached policy for the single-threaded inline path only —
     /// [`RunPolicy`] is not `Send`, so multi-threaded workers build
@@ -219,8 +221,8 @@ fn shard_len(items: usize, threads: usize) -> usize {
 /// Runs one shard: draws the shard's `(μ, λ)` columns, streams its items
 /// through the batched runner in [`SCATTER_CHUNK`] rounds, scatters
 /// results into the SoA window and, when `harvest` is given, files every
-/// residency interval into it. `cached` is the single-thread policy
-/// slot; workers pass `None` and build a local policy.
+/// residency interval into it and sorts it. `cached` is the single-thread
+/// policy slot; workers pass `None` and build a local policy.
 #[allow(clippy::too_many_arguments)]
 fn shard_body(
     spec: &FleetSpec,
@@ -298,6 +300,9 @@ fn shard_body(
             );
         }
     }
+    if let Some(h) = harvest {
+        h.sort();
+    }
     slot.ws = Some(req.into_workspace());
 }
 
@@ -331,7 +336,7 @@ pub fn run_fleet(
     }
     // Workers that ran this call: `shard_len` rounds shards up to whole
     // chunks, so fewer than `threads` shards can cover the fleet, and an
-    // idle worker's harvest still holds an earlier call's events.
+    // idle worker's harvest still holds an earlier call's intervals.
     let mut workers = 0;
     {
         let _span = Span::start(sink, Counter::FleetSimNanos);
@@ -510,7 +515,7 @@ mod tests {
 
     #[test]
     fn thread_count_never_changes_a_bit() {
-        // Capacity on so the event harvest + merge path is exercised too;
+        // Capacity on so the interval harvest + merge path is exercised too;
         // 37 items is deliberately not a multiple of BATCH_UNITS.
         let base = FleetSpec {
             capacity: Some(3),
@@ -732,6 +737,12 @@ mod tests {
             snap.counter(Counter::FleetCapacityEvents),
             s.capacity_events
         );
+        // One 32-B interval per two events, plus one 16-B end per
+        // interval of the busiest server.
+        let intervals = s.capacity_events / 2;
+        let harvest = snap.gauge(Gauge::FleetCapacityHarvestBytes);
+        assert!(harvest > intervals * 32, "{harvest} B");
+        assert!(harvest <= intervals * 48, "{harvest} B");
         assert!(snap.counter(Counter::FleetSimNanos) > 0);
         assert!(snap.counter(Counter::FleetCapacityNanos) > 0);
         assert_eq!(snap.hist(Hist::FleetItemCostCenti).count, spec.items as u64);

@@ -2,7 +2,8 @@
 //! [`FleetWorkspace`] is warm at a fleet shape, a whole [`run_fleet`]
 //! call — per-item parameter draws, batched staging and SoA solves,
 //! policy runs, streaming audits, result scatter, and (with capacity on)
-//! the residency-event harvest plus the full eviction sweep — performs
+//! the residency-interval harvest and its sort plus the full eviction
+//! sweep — performs
 //! **zero** heap allocations, live metrics sink included. This is what
 //! makes "millions of items per box" a steady-state claim rather than a
 //! cold-start one.
@@ -87,9 +88,10 @@ fn warm_fleet_runs_allocate_nothing_even_with_a_live_sink() {
         threads: 1,
         ..FleetSpec::default()
     };
-    // Capacity on: the event harvest, merge, sort and LRU sweep must all
-    // run inside warm buffers too (`sort_unstable` is in-place; the heap
-    // and event vectors keep their capacity run to run).
+    // Capacity on: the interval harvest and its sort, the merge of the
+    // sorted runs, the ends lane and the LRU sweep must all run inside
+    // warm buffers too (`sort_unstable` is in-place; the heap, interval
+    // lists and ends lane keep their capacity run to run).
     let capped = FleetSpec {
         capacity: Some(3),
         eviction: EvictionPolicy::Lru { price: 0.5 },
@@ -101,7 +103,7 @@ fn warm_fleet_runs_allocate_nothing_even_with_a_live_sink() {
     let mut ws_capped = FleetWorkspace::new();
 
     // Warm-up: one pass per spec grows every buffer (SoA columns, worker
-    // slots, batch staging, event list, sweep scratch, cached policy) to
+    // slots, batch staging, interval lists, sweep scratch, cached policy) to
     // the high-water mark this exact shape needs again.
     let expect_plain = run_fleet(&plain, &f, &mut ws_plain, &reg).unwrap();
     let expect_capped = run_fleet(&capped, &f, &mut ws_capped, &reg).unwrap();

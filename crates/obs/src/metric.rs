@@ -119,7 +119,7 @@ pub enum Counter {
     ServeDeferred,
     /// Offline-queued requests replayed after recovery.
     ServeReplayed,
-    /// Timer-wheel sweeps that fired a live (non-stale) expiration.
+    /// Timers fired by the serve engine's sweeps.
     ServeExpirations,
     /// Items finalized (finished) by the serve engine.
     ServeItemsFinished,
@@ -141,6 +141,9 @@ pub enum Gauge {
     FleetCapacitySlots,
     /// Highest server occupancy any fleet capacity sweep reached.
     FleetOccupancyPeak,
+    /// Bytes the largest capacity harvest held: every residency interval
+    /// plus the sweep's largest per-server ends lane (high-water).
+    FleetCapacityHarvestBytes,
     /// Most items the serve engine tracked at once (high-water).
     ServeItemsPeak,
     /// Most live copies the serve engine tracked at once (high-water).
@@ -304,6 +307,7 @@ impl Gauge {
         Gauge::FleetSize,
         Gauge::FleetCapacitySlots,
         Gauge::FleetOccupancyPeak,
+        Gauge::FleetCapacityHarvestBytes,
         Gauge::ServeItemsPeak,
         Gauge::ServeCopiesPeak,
     ];
@@ -317,6 +321,7 @@ impl Gauge {
             Gauge::FleetSize => "fleet_size",
             Gauge::FleetCapacitySlots => "fleet_capacity_slots",
             Gauge::FleetOccupancyPeak => "fleet_occupancy_peak",
+            Gauge::FleetCapacityHarvestBytes => "fleet_capacity_harvest_bytes",
             Gauge::ServeItemsPeak => "serve_items_peak",
             Gauge::ServeCopiesPeak => "serve_copies_peak",
         }

@@ -14,22 +14,25 @@
 //! Event time is a single global clock: interleaved items share one
 //! timeline, as in a real deployment.
 //!
-//! # The timer wheel and refresh tokens
+//! # The timer heap
 //!
 //! Speculative copies expire `Δt = λ/μ` after their last use. The
-//! engine keeps a global min-heap of believed expirations with **lazy
-//! deletion**: every observation of an item bumps the item's generation
-//! counter and re-arms one heap node carrying that generation; nodes
-//! whose generation no longer matches are discarded when popped, so a
-//! re-request *refreshes* a copy without a stale deadline evicting it.
-//! Sweeps are **insensitive to when they run**: a fired timer calls
-//! [`OnlineDecider::expire`], which closes copies at their *believed
-//! expiry time* (not the sweep time), and a sole surviving copy is left
-//! to lapse lazily — the exact semantics the batch executor applies at
-//! the next request. Any sweep schedule consistent with monotone event
-//! time — eager per-event sweeps, [`ServeEngine::tick`] calls anywhere
-//! in the gaps between events, or no sweeping at all — produces the
-//! same records to the bit (the equivalence property tests prove it).
+//! engine keeps one indexed min-heap of believed expirations
+//! ([`KeyedHeap`]) with at most one node per item slot, keyed
+//! `(deadline, slot)`: every observation and every fired timer moves
+//! the slot's node to its policy's next expiry (or drops it when the
+//! policy arms none), and `finish` removes it. A re-request thus
+//! *refreshes* a copy without a stale deadline evicting it, the heap
+//! never holds more nodes than tracked items, and sweeps do no map
+//! lookups. Sweeps are **insensitive to when they run**: a fired timer
+//! calls [`OnlineDecider::expire`], which closes copies at their
+//! *believed expiry time* (not the sweep time), and a sole surviving
+//! copy is left to lapse lazily — the exact semantics the batch
+//! executor applies at the next request. Any sweep schedule consistent
+//! with monotone event time — eager per-event sweeps,
+//! [`ServeEngine::tick`] calls anywhere in the gaps between events, or
+//! no sweeping at all — produces the same records to the bit (the
+//! equivalence property tests prove it).
 //!
 //! Items behind a [`FaultPlan`] are *never* swept from the heap
 //! ([`OnlineDecider::next_expiry`] returns `None` for the tolerant
@@ -62,11 +65,9 @@
 //! Items live in a slab: a map from item id to slot index, a dense
 //! `Vec` of slots and a free list. `finish` returns a slot to the free
 //! list, and the next admission resets its policy, runtime and folds in
-//! place, so a warm admission allocates nothing. Timer nodes name the
-//! slot, not the item, and carry the slot's generation, which stays
-//! monotone across reuse (`finish` bumps it), so sweeps do no map
-//! lookups and a previous occupant's nodes are stale by construction.
-//! Every fault-wrapped item shares the engine's one [`FaultPlan`].
+//! place, so a warm admission allocates nothing. The timer heap holds at
+//! most one node per slot. Every fault-wrapped item shares the engine's
+//! one [`FaultPlan`].
 //!
 //! # The offline queue
 //!
@@ -79,10 +80,11 @@
 //! channel for clients, deliberately *not* part of the decision stream,
 //! which stays identical to batch replay.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+use mcc_core::keyed_heap::{key_time, time_key, KeyedHeap};
 use mcc_core::online::{
     finalize_record, BrownoutFold, CopyRecord, FaultPlan, FaultTolerant, OnlineDecider,
     OnlinePolicy, RecordFold, RunFold, Runtime, ServeAction, TransferRecord,
@@ -250,7 +252,7 @@ pub struct EngineStats {
     pub replayed: u64,
     /// Requests refused by admission control.
     pub sheds: u64,
-    /// Timer-wheel sweeps that fired a live (non-stale) node.
+    /// Timers fired by sweeps.
     pub expirations: u64,
     /// Items currently tracked.
     pub items_live: u64,
@@ -264,39 +266,6 @@ pub struct EngineStats {
     pub items_finished: u64,
     /// Total online cost across finished items.
     pub finished_cost: f64,
-}
-
-/// A believed expiration deadline for one slot, ordered for a min-heap.
-/// `gen` is the refresh token: the node is live only while it matches
-/// the slot's current generation.
-#[derive(Copy, Clone, Debug)]
-struct ExpiryNode {
-    at: f64,
-    slot: usize,
-    gen: u64,
-}
-
-impl PartialEq for ExpiryNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for ExpiryNode {}
-impl PartialOrd for ExpiryNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ExpiryNode {
-    // Reversed on the deadline: `BinaryHeap` is a max-heap and we want
-    // the earliest deadline on top.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .at
-            .total_cmp(&self.at)
-            .then(other.slot.cmp(&self.slot))
-            .then(other.gen.cmp(&self.gen))
-    }
 }
 
 /// A deferred request waiting in the offline queue for its server to
@@ -316,9 +285,6 @@ struct ItemSlot {
     rt: Runtime<f64>,
     fold: RunFold<f64>,
     brownout: BrownoutFold,
-    /// Refresh token, monotone over the slot's whole life (across
-    /// occupants).
-    gen: u64,
     last_t: f64,
     requests: usize,
     hits: usize,
@@ -400,7 +366,8 @@ pub struct ServeEngine<'s> {
     slots: Vec<ItemSlot>,
     /// Slots freed by `finish`, reused before the slab grows.
     free: Vec<usize>,
-    heap: BinaryHeap<ExpiryNode>,
+    /// Each slot's believed next expiry, keyed `(time_key(at), slot)`.
+    timers: KeyedHeap,
     offline: VecDeque<QueuedRequest>,
     replayed: Vec<ReplayNote>,
     stats: EngineStats,
@@ -419,7 +386,7 @@ impl ServeEngine<'static> {
             index: HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            heap: BinaryHeap::new(),
+            timers: KeyedHeap::default(),
             offline: VecDeque::new(),
             replayed: Vec::new(),
             stats: EngineStats::default(),
@@ -440,7 +407,7 @@ impl<'s> ServeEngine<'s> {
             index: self.index,
             slots: self.slots,
             free: self.free,
-            heap: self.heap,
+            timers: self.timers,
             offline: self.offline,
             replayed: self.replayed,
             stats: self.stats,
@@ -501,7 +468,6 @@ impl<'s> ServeEngine<'s> {
             if t < slot.last_t {
                 return self.shed(item, ShedReason::TimeRegression);
             }
-            slot.gen += 1;
             let (decider, rt) = slot.decider();
             let decision = decider.observe(Request::new(ServerId(server), t), rt);
             slot.last_t = t;
@@ -512,12 +478,7 @@ impl<'s> ServeEngine<'s> {
                 ServeAction::Transfer { .. } => {}
             }
             let (live_now, prev) = slot.settle(&self.cfg.cost);
-            let rearm = slot.next_expiry().map(|at| ExpiryNode {
-                at,
-                slot: idx,
-                gen: slot.gen,
-            });
-            (decision.action, live_now, prev, rearm)
+            (decision.action, live_now, prev, slot.next_expiry())
         };
         match action {
             ServeAction::Cache => self.stats.cache_hits += 1,
@@ -528,9 +489,7 @@ impl<'s> ServeEngine<'s> {
                 self.buffer_offline(item, ServerId(server), t);
             }
         }
-        if let Some(node) = rearm {
-            self.heap.push(node);
-        }
+        self.arm(idx, rearm);
         self.copies_live = self.copies_live.saturating_sub(prev_live) + live_now;
         self.now = if t > self.now { t } else { self.now };
         self.stats.requests += 1;
@@ -574,10 +533,9 @@ impl<'s> ServeEngine<'s> {
     pub fn finish(&mut self, item: u64) -> Option<ItemReport> {
         let idx = self.index.remove(&item)?;
         self.free.push(idx);
+        self.timers.remove(idx as u32);
         let slot = self.slots.get_mut(idx)?;
-        // Strands every heap node armed for this occupant; queued offline
-        // requests are purged now.
-        slot.gen += 1;
+        // Queued offline requests are purged now.
         self.offline.retain(|q| q.item != item);
         self.copies_live = self.copies_live.saturating_sub(slot.live);
         let horizon = slot.last_t;
@@ -675,7 +633,6 @@ impl<'s> ServeEngine<'s> {
                     rt: Runtime::new(servers),
                     fold: RunFold::default(),
                     brownout: BrownoutFold::default(),
-                    gen: 0,
                     last_t: 0.0,
                     requests: 0,
                     hits: 0,
@@ -710,42 +667,40 @@ impl<'s> ServeEngine<'s> {
         idx
     }
 
-    /// Pops every heap node due strictly before `until`; live nodes fire
+    /// Fires every timer due strictly before `until`: each fires
     /// [`OnlineDecider::expire`] (which closes copies at their believed
-    /// expiry, making sweep timing unobservable) and re-arm. A deadline
-    /// *at* `until` is not due: the decider keeps a copy live through its
-    /// expiry instant, so firing it would re-arm the same node forever.
+    /// expiry, making sweep timing unobservable) and re-arms its slot. A
+    /// deadline *at* `until` is not due: the decider keeps a copy live
+    /// through its expiry instant, so firing it would re-arm the same
+    /// node forever.
     fn sweep(&mut self, until: f64) {
-        loop {
-            match self.heap.peek() {
-                Some(top) if top.at < until => {}
-                _ => break,
+        while let Some((at, slot)) = self.timers.peek() {
+            if key_time(at) >= until {
+                break;
             }
-            let Some(node) = self.heap.pop() else { break };
-            let (live_now, prev, rearm) = {
-                let Some(slot) = self.slots.get_mut(node.slot) else {
-                    continue;
-                };
-                if node.gen != slot.gen {
-                    continue; // refreshed or finished since armed: stale
-                }
-                slot.gen += 1;
-                let (decider, rt) = slot.decider();
-                decider.expire(until, rt);
-                let (live_now, prev) = slot.settle(&self.cfg.cost);
-                let rearm = slot.next_expiry().map(|at| ExpiryNode {
-                    at,
-                    slot: node.slot,
-                    gen: slot.gen,
-                });
-                (live_now, prev, rearm)
+            let idx = slot as usize;
+            let Some(slot) = self.slots.get_mut(idx) else {
+                // Unreachable (timers name live slots); dropping the node
+                // beats looping on it.
+                self.timers.remove(idx as u32);
+                continue;
             };
+            let (decider, rt) = slot.decider();
+            decider.expire(until, rt);
+            let (live_now, prev) = slot.settle(&self.cfg.cost);
+            let rearm = slot.next_expiry();
             self.copies_live = self.copies_live.saturating_sub(prev) + live_now;
             self.stats.expirations += 1;
             self.sink.add(Counter::ServeExpirations, 1);
-            if let Some(n) = rearm {
-                self.heap.push(n);
-            }
+            self.arm(idx, rearm);
+        }
+    }
+
+    /// Moves slot `idx`'s timer to `at`, or drops it when `None`.
+    fn arm(&mut self, idx: usize, at: Option<f64>) {
+        match at {
+            Some(at) => self.timers.set(time_key(at), idx as u32),
+            None => self.timers.remove(idx as u32),
         }
     }
 
@@ -891,12 +846,13 @@ mod tests {
     }
 
     #[test]
-    fn timer_wheel_fires_and_refresh_tokens_hold() {
+    fn timers_fire_and_re_requests_refresh_them() {
         let mut e = engine(2);
         // Two live copies (origin + transfer target): SC arms a deadline.
         e.observe(1, 1, 1.0);
-        assert!(!e.heap.is_empty());
-        // Re-request refreshes; the stale node must not evict the copy.
+        assert_eq!(e.timers.len(), 1);
+        // Re-request refreshes: the slot's node moves, so the old
+        // deadline cannot evict the copy.
         e.observe(1, 1, 1.5);
         // Sweep far past every deadline: the speculative origin copy
         // lapses (λ/μ = 1 ⇒ believed expiry 1.0), the sole survivor
@@ -905,6 +861,27 @@ mod tests {
         assert!(e.stats().expirations >= 1);
         let slot = &e.slots[e.index[&1]];
         assert_eq!(slot.rt.live_copies(), 1);
+    }
+
+    #[test]
+    fn the_timer_heap_holds_one_node_per_tracked_slot() {
+        // λ = 1e9 makes every copy's Δt outlast the stream, so no timer
+        // ever fires; one item alternating servers every 0.01 re-arms its
+        // slot's deadline on every request.
+        let cost = CostModel::new(1.0, 1e9).unwrap();
+        let mut e = ServeEngine::new(
+            ServeConfig::new(4, cost),
+            factory(SpeculativeCaching::paper()),
+        );
+        for k in 0..200_000u32 {
+            e.observe(1, k % 2, 0.01 * f64::from(k + 1));
+            assert!(e.timers.len() <= e.index.len(), "request {k}");
+        }
+        e.observe(2, 3, 2001.0);
+        assert!(e.timers.len() <= 2);
+        e.finish(1);
+        e.finish(2);
+        assert!(e.timers.is_empty());
     }
 
     #[test]
@@ -924,17 +901,18 @@ mod tests {
     }
 
     #[test]
-    fn finished_slots_are_reused_and_their_timers_go_stale() {
+    fn finished_slots_are_reused_and_lose_their_timers() {
         let mut e = engine(2);
         // Two live copies: SC arms a deadline for item 1's slot.
         e.observe(1, 1, 1.0);
-        assert!(!e.heap.is_empty());
+        assert_eq!(e.timers.len(), 1);
         assert!(e.finish(1).is_some());
+        assert!(e.timers.is_empty(), "finish removes the slot's timer");
         // Item 2 takes the freed slot; its lone origin copy arms nothing.
         e.observe(2, 0, 1.2);
         assert_eq!(e.slots.len(), 1);
         assert_eq!(e.index[&2], 0);
-        // Item 1's node is stale: it must not fire against item 2.
+        // Item 1's deadline must not fire against item 2.
         e.tick(100.0);
         assert_eq!(e.stats().expirations, 0);
         let report = e.finish(2).unwrap();
