@@ -6,11 +6,7 @@
 
 pub mod adversary;
 pub mod alpha;
-pub mod baseline;
-pub mod bench_fleet;
-pub mod bench_serve;
-pub mod bench_solver;
-pub mod bench_sweep;
+pub mod bench;
 pub mod breakdown;
 pub mod classic;
 pub mod epoch;
@@ -50,8 +46,7 @@ impl Scale {
     /// Gate-sized: big enough that per-unit work dominates thread spawn
     /// overhead (the quick grid's 12 tiny units would be
     /// scheduling-bound on a multicore runner), small enough for a CI
-    /// re-measure. Used by `bench_sweep --check`'s parallel-efficiency
-    /// gate.
+    /// re-measure. Used by the sweep suite's parallel-efficiency gate.
     pub fn gate() -> Self {
         Scale {
             seeds: 8,

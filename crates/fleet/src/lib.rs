@@ -32,11 +32,9 @@
 //!
 //! Entry point: [`run_fleet`] with a reusable [`FleetWorkspace`]. See
 //! DESIGN.md §12 for the architecture and EXPERIMENTS.md E21 for the
-//! scaling experiment; `BENCH_fleet.json` pins throughput versus a
-//! naive per-item `RunRequest` loop at 1e6 items (honest measurement
-//! ~3.5×, the aspirational ≥5× target recorded as unmet — the baseline
-//! inherits the pipeline's earlier optimization rounds; CI gates on
-//! regression against the committed value).
+//! scaling experiment; `BENCH_fleet.json` records throughput by fleet
+//! size and thread count, and CI gates its calibrated rate and 8-thread
+//! efficiency.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +45,6 @@ pub mod sim;
 pub mod spec;
 pub mod state;
 
-pub use sim::{naive_item_loop, run_fleet, FleetWorkspace};
+pub use sim::{run_fleet, FleetWorkspace};
 pub use spec::{EvictionPolicy, FleetSpec};
 pub use state::{FleetSummary, ItemStates};

@@ -1,5 +1,4 @@
-//! Phase 1: the sharded, batched fleet simulation — plus the naive
-//! baseline the benchmark measures it against.
+//! Phase 1: the sharded, batched fleet simulation.
 //!
 //! Items are partitioned into contiguous shards (rounded to whole
 //! [`BATCH_UNITS`] chunks so every worker stays on the batched solver
@@ -427,54 +426,6 @@ pub fn run_fleet(
     Ok(sum)
 }
 
-/// The honest baseline the ≥5× target in `BENCH_fleet.json` is measured
-/// against: one fresh [`RunRequest`] (cold workspace), one fresh policy
-/// and one [`RunRequest::run_unit`] call *per item* — exactly what a
-/// caller without the fleet layer would write. Per-item results are
-/// bit-identical to [`run_fleet`]'s, and the summary is aggregated in
-/// the same item order, so the two are interchangeable everywhere but
-/// the clock.
-pub fn naive_item_loop(
-    spec: &FleetSpec,
-    factory: &PolicyFactory,
-    sink: &dyn Sink,
-) -> Result<FleetSummary, String> {
-    spec.validate()?;
-    let items = spec.items;
-    let mut sum = FleetSummary {
-        items,
-        ..FleetSummary::default()
-    };
-    for item in 0..items as u64 {
-        let (mu, lambda) = spec.item_params(item);
-        let w = PoissonWorkload::uniform(
-            CommonParams {
-                servers: spec.servers,
-                requests: spec.requests_per_item,
-                mu,
-                lambda,
-            },
-            spec.rate,
-        );
-        let req = RunRequest::new(RunMode::Plain).with_sink(sink);
-        let mut req = if spec.audit { req } else { req.without_audit() };
-        let mut policy = req.policy(factory);
-        let r = req.run_unit(&mut policy, &w, spec.trace_seed(item));
-        sum.online_cost += r.online_cost;
-        sum.opt_cost += r.opt_cost;
-        sum.transfers += r.transfers.min(u32::MAX as usize) as u64;
-        sum.audit_findings += r.audit_findings.min(u32::MAX as usize) as u64;
-        if r.ratio > sum.max_ratio {
-            sum.max_ratio = r.ratio;
-        }
-        sum.mean_ratio += r.ratio;
-    }
-    if items > 0 {
-        sum.mean_ratio /= items as f64;
-    }
-    Ok(sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,6 +437,50 @@ mod tests {
 
     fn sc() -> PolicyFactory {
         factory(SpeculativeCaching::<f64>::paper())
+    }
+
+    /// One fresh [`RunRequest`] (cold workspace), one fresh policy and
+    /// one [`RunRequest::run_unit`] call per item, summed in item order:
+    /// the oracle every fleet result must match bit for bit.
+    fn naive_item_loop(
+        spec: &FleetSpec,
+        factory: &PolicyFactory,
+        sink: &dyn Sink,
+    ) -> Result<FleetSummary, String> {
+        spec.validate()?;
+        let items = spec.items;
+        let mut sum = FleetSummary {
+            items,
+            ..FleetSummary::default()
+        };
+        for item in 0..items as u64 {
+            let (mu, lambda) = spec.item_params(item);
+            let w = PoissonWorkload::uniform(
+                CommonParams {
+                    servers: spec.servers,
+                    requests: spec.requests_per_item,
+                    mu,
+                    lambda,
+                },
+                spec.rate,
+            );
+            let req = RunRequest::new(RunMode::Plain).with_sink(sink);
+            let mut req = if spec.audit { req } else { req.without_audit() };
+            let mut policy = req.policy(factory);
+            let r = req.run_unit(&mut policy, &w, spec.trace_seed(item));
+            sum.online_cost += r.online_cost;
+            sum.opt_cost += r.opt_cost;
+            sum.transfers += r.transfers.min(u32::MAX as usize) as u64;
+            sum.audit_findings += r.audit_findings.min(u32::MAX as usize) as u64;
+            if r.ratio > sum.max_ratio {
+                sum.max_ratio = r.ratio;
+            }
+            sum.mean_ratio += r.ratio;
+        }
+        if items > 0 {
+            sum.mean_ratio /= items as f64;
+        }
+        Ok(sum)
     }
 
     fn spec_small() -> FleetSpec {

@@ -4,7 +4,7 @@
 //! is literally the trait's defaults — an instrumentation point against
 //! [`NoopSink`] is one indirect call that immediately returns, cheap
 //! enough to leave in the sweep hot path unconditionally (the
-//! `bench_sweep --check` overhead gate holds the live sink within 3% of
+//! `bench sweep --check` overhead gate holds the live sink within 3% of
 //! no-op; no-op itself is within noise of uninstrumented code).
 //!
 //! Implementations must not allocate in the record methods: the run

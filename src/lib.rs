@@ -76,9 +76,7 @@ pub mod prelude {
         analyze, double_transfer, run_policy, DeciderStats, Decision, Follow, KeepEverywhere,
         OnlineDecider, OnlinePolicy, OnlineRun, SpeculativeCaching, StayAtOrigin,
     };
-    pub use mcc_fleet::{
-        naive_item_loop, run_fleet, EvictionPolicy, FleetSpec, FleetSummary, FleetWorkspace,
-    };
+    pub use mcc_fleet::{run_fleet, EvictionPolicy, FleetSpec, FleetSummary, FleetWorkspace};
     pub use mcc_model::{
         unit_instance, validate, CostModel, Fixed, Instance, InstanceBuilder, Prescan, Request,
         Scalar, Schedule, ServerId,
