@@ -149,7 +149,11 @@ pub fn parse(argv: &[String]) -> Result<ParsedArgs, String> {
         flags: Vec::new(),
     };
     while let Some(arg) = it.next() {
-        if arg == "-c" {
+        if arg == "--help" || arg == "-h" {
+            // `mcc <cmd> --help` asks for the usage text, as `mcc help` does.
+            parsed.command = Command::Help;
+            return Ok(parsed);
+        } else if arg == "-c" {
             let val = it.next().ok_or("`-c` needs an inline compact instance")?;
             parsed.inline = Some(val.clone());
         } else if let Some(name) = arg.strip_prefix("--") {
@@ -223,6 +227,22 @@ mod tests {
     fn empty_or_help_yields_help() {
         assert_eq!(parse(&[]).unwrap().command, Command::Help);
         assert_eq!(parse(&argv("--help")).unwrap().command, Command::Help);
+    }
+
+    #[test]
+    fn help_after_a_command_yields_help() {
+        for line in [
+            "fleet --help",
+            "sweep poisson -h",
+            "solve trace.json --diagram --help",
+            "serve --servers 4 --help --bogus",
+        ] {
+            assert_eq!(parse(&argv(line)).unwrap().command, Command::Help, "{line}");
+        }
+        // A value option still takes the next word as its value.
+        let p = parse(&argv("load poisson --out --help")).unwrap();
+        assert_eq!(p.command, Command::Load);
+        assert_eq!(p.opt_or("out", ""), "--help");
     }
 
     #[test]

@@ -582,7 +582,9 @@ pub fn fleet(args: &ParsedArgs) -> Result<String, String> {
 /// Parses `--crash S:FROM:TO[,S:FROM:TO...]` into a pure-outage
 /// [`FaultPlan`] (no random call failures; the daemon's offline queue
 /// buffers requests to crashed servers and replays them on recovery).
-fn parse_crash_plan(spec: &str) -> Result<FaultPlan, String> {
+/// Server indexes are 0-based and must be below `servers` (a plan's
+/// layout grows with the highest crashing server).
+fn parse_crash_plan(spec: &str, servers: usize) -> Result<FaultPlan, String> {
     let mut windows = Vec::new();
     for part in spec.split(',') {
         let fields: Vec<&str> = part.split(':').collect();
@@ -592,6 +594,11 @@ fn parse_crash_plan(spec: &str) -> Result<FaultPlan, String> {
         let server: u32 = server
             .parse()
             .map_err(|_| format!("--crash: bad server `{server}`"))?;
+        if server as usize >= servers {
+            return Err(format!(
+                "--crash: server {server} out of range (--servers {servers})"
+            ));
+        }
         let from: f64 = from
             .parse()
             .map_err(|_| format!("--crash: bad start `{from}`"))?;
@@ -628,7 +635,8 @@ pub fn serve_loop<R: std::io::BufRead, W: std::io::Write>(
         args.num_or("max-copies", 1usize << 20)?,
     );
     if let Some(spec) = args.options.get("crash") {
-        cfg = cfg.with_plan(parse_crash_plan(spec)?);
+        let plan = parse_crash_plan(spec, cfg.servers)?;
+        cfg = cfg.with_plan(plan);
     }
     // Validate the policy spec once up front, so a typo fails the whole
     // command instead of silently serving the fallback policy.
@@ -908,6 +916,8 @@ mod tests {
     fn serve_rejects_bad_specs_before_reading_input() {
         assert!(run_line("serve --crash nope").is_err());
         assert!(run_line("serve --crash 0:5:1").is_err());
+        assert!(run_line("serve --servers 2 --crash 2:1:2").is_err());
+        assert!(run_line("serve --crash 4000000000:1:2").is_err());
         assert!(run_line("serve --policy warp").is_err());
         assert!(run_line("serve trace.json").is_err());
         assert!(run_line("load --items 3").is_err()); // missing family

@@ -28,68 +28,75 @@ use super::tables::{CStep, DStep, DpSolution};
 ///
 /// `sol` must come from one of the solvers in this crate run on the same
 /// `inst`. The returned schedule is normalized (sorted, merged intervals).
+///
+/// The backtrack is a loop, not a recursion: every step of the C/D chain
+/// emits its own pieces — a step's intermediates before the step it
+/// descends into, since normalization makes the emission order
+/// unobservable — so the stack stays flat however long the chain is.
 pub fn reconstruct<S: Scalar>(
     inst: &Instance<S>,
     scan: &Prescan<S>,
     sol: &DpSolution<S>,
 ) -> Schedule<S> {
     let mut sched = Schedule::new();
-    let n = inst.n();
-    if n > 0 {
-        rebuild_c(inst, scan, sol, n, &mut sched);
+    let mut step = Step::C(inst.n());
+    while let Some(next) = rebuild_step(inst, scan, sol, step, &mut sched) {
+        step = next;
     }
     sched.normalize();
     sched
 }
 
-fn rebuild_c<S: Scalar>(
-    inst: &Instance<S>,
-    scan: &Prescan<S>,
-    sol: &DpSolution<S>,
-    i: usize,
-    out: &mut Schedule<S>,
-) {
-    match sol.c_from[i] {
-        CStep::Boundary => {}
-        CStep::Transfer => {
-            let src = inst.server(i - 1);
-            let dst = inst.server(i);
-            debug_assert_ne!(
-                src, dst,
-                "self-transfer would mean the cache branch was not preferred on a tie"
-            );
-            out.cache(src, inst.t(i - 1), inst.t(i));
-            out.transfer(src, dst, inst.t(i));
-            rebuild_c(inst, scan, sol, i - 1, out);
-        }
-        CStep::Cache => rebuild_d(inst, scan, sol, i, out),
-    }
+/// One link of the backtrack chain: the optimal schedule up to request
+/// `i` (`C(i)`), or the conditional schedule behind `D(i)`.
+#[derive(Copy, Clone)]
+enum Step {
+    C(usize),
+    D(usize),
 }
 
-fn rebuild_d<S: Scalar>(
+/// Emits the pieces step `step` adds on its own and returns the step it
+/// descends into, if any.
+fn rebuild_step<S: Scalar>(
     inst: &Instance<S>,
     scan: &Prescan<S>,
     sol: &DpSolution<S>,
-    i: usize,
+    step: Step,
     out: &mut Schedule<S>,
-) {
-    let p_i = scan.p[i].expect("D(i) finite requires a real p(i)");
-    // The conditional final cache H(s_i, t_{p(i)}, t_i).
-    out.cache(inst.server(i), inst.t(p_i), inst.t(i));
-    let anchor = match sol.d_from[i] {
-        DStep::Infeasible => unreachable!("Cache branch chosen with infeasible D"),
-        DStep::Direct => {
-            rebuild_c(inst, scan, sol, p_i, out);
-            p_i
+) -> Option<Step> {
+    match step {
+        Step::C(0) => None,
+        Step::C(i) => match sol.c_from[i] {
+            CStep::Boundary => None,
+            CStep::Transfer => {
+                let src = inst.server(i - 1);
+                let dst = inst.server(i);
+                debug_assert_ne!(
+                    src, dst,
+                    "self-transfer would mean the cache branch was not preferred on a tie"
+                );
+                out.cache(src, inst.t(i - 1), inst.t(i));
+                out.transfer(src, dst, inst.t(i));
+                Some(Step::C(i - 1))
+            }
+            CStep::Cache => Some(Step::D(i)),
+        },
+        Step::D(i) => {
+            let p_i = scan.p[i].expect("D(i) finite requires a real p(i)");
+            // The conditional final cache H(s_i, t_{p(i)}, t_i).
+            out.cache(inst.server(i), inst.t(p_i), inst.t(i));
+            let (anchor, next) = match sol.d_from[i] {
+                DStep::Infeasible => unreachable!("Cache branch chosen with infeasible D"),
+                DStep::Direct => (p_i, Step::C(p_i)),
+                DStep::Pivot(kappa) => (kappa, Step::D(kappa)),
+            };
+            // Serve the intermediates r_j, anchor < j < i, at their
+            // marginal bounds.
+            for j in anchor + 1..i {
+                serve_at_bound(inst, scan, i, j, out);
+            }
+            Some(next)
         }
-        DStep::Pivot(kappa) => {
-            rebuild_d(inst, scan, sol, kappa, out);
-            kappa
-        }
-    };
-    // Serve the intermediates r_j, anchor < j < i, at their marginal bounds.
-    for j in anchor + 1..i {
-        serve_at_bound(inst, scan, i, j, out);
     }
 }
 
@@ -197,6 +204,118 @@ mod tests {
             1,
             "one replication, then both sides cache"
         );
+    }
+
+    /// The recursive backtrack `reconstruct` replaced, kept as the
+    /// oracle of its output: each step recurses before it emits its
+    /// intermediates.
+    fn reconstruct_recursive(
+        inst: &Instance<f64>,
+        scan: &Prescan<f64>,
+        sol: &DpSolution<f64>,
+    ) -> Schedule<f64> {
+        fn rebuild_c(
+            inst: &Instance<f64>,
+            scan: &Prescan<f64>,
+            sol: &DpSolution<f64>,
+            i: usize,
+            out: &mut Schedule<f64>,
+        ) {
+            match sol.c_from[i] {
+                CStep::Boundary => {}
+                CStep::Transfer => {
+                    out.cache(inst.server(i - 1), inst.t(i - 1), inst.t(i));
+                    out.transfer(inst.server(i - 1), inst.server(i), inst.t(i));
+                    rebuild_c(inst, scan, sol, i - 1, out);
+                }
+                CStep::Cache => rebuild_d(inst, scan, sol, i, out),
+            }
+        }
+        fn rebuild_d(
+            inst: &Instance<f64>,
+            scan: &Prescan<f64>,
+            sol: &DpSolution<f64>,
+            i: usize,
+            out: &mut Schedule<f64>,
+        ) {
+            let p_i = scan.p[i].unwrap();
+            out.cache(inst.server(i), inst.t(p_i), inst.t(i));
+            let anchor = match sol.d_from[i] {
+                DStep::Infeasible => unreachable!(),
+                DStep::Direct => {
+                    rebuild_c(inst, scan, sol, p_i, out);
+                    p_i
+                }
+                DStep::Pivot(kappa) => {
+                    rebuild_d(inst, scan, sol, kappa, out);
+                    kappa
+                }
+            };
+            for j in anchor + 1..i {
+                serve_at_bound(inst, scan, i, j, out);
+            }
+        }
+        let mut sched = Schedule::new();
+        if inst.n() > 0 {
+            rebuild_c(inst, scan, sol, inst.n(), &mut sched);
+        }
+        sched.normalize();
+        sched
+    }
+
+    #[test]
+    fn iterative_backtrack_matches_the_recursive_one() {
+        // Deterministic mixes over 1..=5 servers and both cost regimes,
+        // so Direct and Pivot steps and both bound kinds all occur.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for case in 0..300 {
+            let m = 1 + case % 5;
+            let n = 1 + (next() % 40) as usize;
+            let lambda = [0.3, 1.0, 4.0][case % 3];
+            let mut t = 0.0;
+            let mut reqs = String::new();
+            for _ in 0..n {
+                t += 0.05 + (next() % 100) as f64 * 0.02;
+                reqs.push_str(&format!(" s{}@{t}", 1 + next() % m as u64));
+            }
+            let inst =
+                Instance::<f64>::from_compact(&format!("m={m} mu=1 lambda={lambda} |{reqs}"))
+                    .unwrap();
+            let scan = Prescan::compute(&inst);
+            let sol = solve_fast_with(&inst, &scan);
+            assert_eq!(
+                reconstruct(&inst, &scan, &sol),
+                reconstruct_recursive(&inst, &scan, &sol),
+                "case {case}"
+            );
+        }
+    }
+
+    #[test]
+    fn million_request_transfer_chain_reconstructs() {
+        // Alternating servers one time unit apart with λ = μ/2: s1 caches
+        // throughout and serves each s2 request by a transfer, so the C/D
+        // chain takes one step per s1 request — half a million links, far
+        // past what one stack frame per link would fit.
+        let n = 1_000_000;
+        let requests = (0..n)
+            .map(|i| {
+                mcc_model::Request::new(mcc_model::ServerId::from_index(i % 2), (i + 1) as f64)
+            })
+            .collect();
+        let cost = mcc_model::CostModel::new(1.0, 0.5).unwrap();
+        let inst = Instance::new(2, cost, requests).unwrap();
+        let scan = Prescan::compute(&inst);
+        let sol = solve_fast_with(&inst, &scan);
+        let sched = reconstruct(&inst, &scan, &sol);
+        assert_eq!(sched.transfers.len(), n / 2);
+        assert_eq!(sched.cost(inst.cost()), sol.optimal_cost());
     }
 
     #[test]

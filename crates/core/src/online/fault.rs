@@ -84,6 +84,8 @@
 // the lints below.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 use mcc_model::{CostModel, Request, Scalar, ServerId};
@@ -165,16 +167,33 @@ pub struct RetryDraw {
 /// request queue instead of relying on a surviving server (see the module
 /// docs). Unwrapped policies run against such plans produce schedules the
 /// auditors flag rather than panics.
+///
+/// Crash windows are also laid out by server: one offset per server up
+/// to the highest crashing one, so a plan's storage is linear in its
+/// windows plus that server index. Callers taking server indexes from
+/// untrusted input bound them first.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
     /// Outages, sorted by (crash instant, server); each server's windows
-    /// are disjoint (see `normalize_crashes`).
+    /// are disjoint (see `index_crashes`).
     crashes: Vec<CrashWindow>,
-    /// Positions into `crashes` sorted by (server, crash instant): one
-    /// contiguous, binary-searchable run per server.
-    crash_by_server: Vec<u32>,
-    /// Positions into `crashes` sorted by (recovery instant, server).
+    /// Per-server offsets into the two columns below: server `s`'s
+    /// windows are `crash_start[s] .. crash_start[s + 1]`. Holds one entry
+    /// per server up to the highest crashing one, plus one; empty when
+    /// there are no windows.
+    crash_start: Vec<u32>,
+    /// Crash instants in (server, crash instant) order: each server's run
+    /// is strictly ascending.
+    crash_onsets: Vec<f64>,
+    /// Recovery instants in the same order, also strictly ascending per
+    /// server (the windows are disjoint).
+    crash_recoveries: Vec<f64>,
+    /// Indexes into the two columns above, sorted by (recovery instant,
+    /// server).
     crash_by_end: Vec<u32>,
+    /// The run heads of the merges that build the two event orders;
+    /// empty between builds, kept for its capacity.
+    merge_heads: Vec<Reverse<(u64, u32, u32)>>,
     /// Partitions, sorted by start instant.
     partitions: Vec<PartitionWindow>,
     /// `partition_reach[i]`: the latest heal among `partitions[..=i]`.
@@ -232,86 +251,40 @@ fn total_key(x: f64) -> u64 {
     }
 }
 
-/// Coalesces overlapping or touching windows on the same server, puts the
-/// list in plan order — (from, server) — and fills both position indexes.
-/// Correlated bursts can land on top of base crash windows, but every
-/// consumer of the plan — its binary-searched queries, the wrapper's
-/// event cursors, both auditors' crash geometry — assumes each server's
-/// downtime windows are disjoint, so the constructors normalize here.
-///
-/// Allocation-free once warm. Coalescing leaves the windows in (server,
-/// from) order; rather than sorting the windows again, one key sort of
-/// their positions gives plan order ((from, server) keys are unique once
-/// coalesced), its inverse is the by-server index, and the windows then
-/// move into plan order in place, one permutation cycle at a time.
-fn normalize_crashes(
-    crashes: &mut Vec<CrashWindow>,
-    by_server: &mut Vec<u32>,
-    by_end: &mut Vec<u32>,
+/// Merges the per-server runs of `column` (`start` holds their offsets;
+/// each run strictly ascending) into one order keyed `(total_key(value),
+/// server)`, handing each window's column index and server to `emit`.
+/// The keys are unique, so the order is the one a sort on them gives.
+/// `heads` comes in and goes back empty, lending its capacity.
+fn merge_runs(
+    start: &[u32],
+    column: &[f64],
+    heads: &mut Vec<Reverse<(u64, u32, u32)>>,
+    mut emit: impl FnMut(usize, u32),
 ) {
-    crashes.sort_unstable_by(|a, b| {
-        a.server
-            .cmp(&b.server)
-            .then(a.from.total_cmp(&b.from))
-            .then(a.to.total_cmp(&b.to))
-    });
-    if crashes.len() > 1 {
-        let mut w = 0usize;
-        for r in 1..crashes.len() {
-            let cur = crashes[r];
-            let last = &mut crashes[w];
-            if cur.server == last.server && cur.from <= last.to {
-                last.to = last.to.max(cur.to);
-            } else {
-                w += 1;
-                crashes[w] = cur;
-            }
-        }
-        crashes.truncate(w + 1);
-    }
-    // The by-end buffer holds the plan order until the last step.
-    let order = by_end;
-    fill_positions(order, crashes.len());
-    order.sort_unstable_by_key(|&q| {
-        let w = &crashes[q as usize];
-        (total_key(w.from), w.server)
-    });
-    by_server.clear();
-    by_server.resize(crashes.len(), 0);
-    for (pos, &q) in order.iter().enumerate() {
-        by_server[q as usize] = pos as u32;
-    }
-    // Plan slot `pos` takes by-server window `order[pos]`; a visited slot
-    // is marked `MOVED`.
-    const MOVED: u32 = u32::MAX;
-    for start in 0..crashes.len() {
-        if order[start] == MOVED {
-            continue;
-        }
-        let first = crashes[start];
-        let mut pos = start;
-        loop {
-            let src = order[pos] as usize;
-            order[pos] = MOVED;
-            if src == start {
-                crashes[pos] = first;
-                break;
-            }
-            crashes[pos] = crashes[src];
-            pos = src;
+    let mut heap = BinaryHeap::from(std::mem::take(heads));
+    for (s, run) in start.windows(2).enumerate() {
+        if run[0] < run[1] {
+            let j = run[0];
+            heap.push(Reverse((total_key(column[j as usize]), s as u32, j)));
         }
     }
-    fill_positions(order, crashes.len());
-    order.sort_unstable_by_key(|&p| {
-        let w = &crashes[p as usize];
-        (total_key(w.to), w.server)
-    });
+    while let Some(mut top) = heap.peek_mut() {
+        let Reverse((_, s, j)) = *top;
+        emit(j as usize, s);
+        let next = j + 1;
+        if next < start[s as usize + 1] {
+            *top = Reverse((total_key(column[next as usize]), s, next));
+        } else {
+            PeekMut::pop(top);
+        }
+    }
+    *heads = heap.into_vec();
 }
 
 /// Refills `index` with the positions `0..len`.
 fn fill_positions(index: &mut Vec<u32>, len: usize) {
     index.clear();
-    // Positions fit `u32`: 2^32 windows would need ~100 GiB of storage.
     index.extend((0..len).map(|i| i as u32));
 }
 
@@ -338,8 +311,11 @@ impl FaultPlan {
     pub fn none() -> Self {
         FaultPlan {
             crashes: Vec::new(),
-            crash_by_server: Vec::new(),
+            crash_start: Vec::new(),
+            crash_onsets: Vec::new(),
+            crash_recoveries: Vec::new(),
             crash_by_end: Vec::new(),
+            merge_heads: Vec::new(),
             partitions: Vec::new(),
             partition_reach: Vec::new(),
             partition_by_end: Vec::new(),
@@ -394,15 +370,77 @@ impl FaultPlan {
         self
     }
 
-    /// Validates, coalesces and sorts the crash windows in place, then
-    /// rebuilds the by-server and by-end position indexes.
+    /// Validates the crash windows, then coalesces overlapping or touching
+    /// windows on the same server, lays them out by server, puts the list
+    /// in plan order — (from, server) — and fills the by-end index.
+    /// Correlated bursts can land on top of base crash windows, but every
+    /// consumer of the plan — its binary-searched queries, the wrapper's
+    /// event cursors, both auditors' crash geometry — assumes each
+    /// server's downtime windows are disjoint, so the constructors
+    /// normalize here.
+    ///
+    /// Allocation-free once warm. Coalescing leaves the windows in
+    /// (server, from) order, which is the by-server layout: one offset per
+    /// server and two dense columns of onsets and recoveries. Disjoint
+    /// windows make each server's onsets and recoveries strictly
+    /// ascending, so both event orders — plan order by (onset, server) and
+    /// the by-end index by (recovery, server) — are m-way merges of the
+    /// server runs, and the plan-order windows are written back from the
+    /// columns.
     fn index_crashes(&mut self) {
-        self.crashes.retain(|w| valid_window(w.from, w.to));
-        normalize_crashes(
-            &mut self.crashes,
-            &mut self.crash_by_server,
-            &mut self.crash_by_end,
-        );
+        let crashes = &mut self.crashes;
+        crashes.retain(|w| valid_window(w.from, w.to));
+        crashes.sort_unstable_by(|a, b| {
+            a.server
+                .cmp(&b.server)
+                .then(a.from.total_cmp(&b.from))
+                .then(a.to.total_cmp(&b.to))
+        });
+        if crashes.len() > 1 {
+            let mut w = 0usize;
+            for r in 1..crashes.len() {
+                let cur = crashes[r];
+                let last = &mut crashes[w];
+                if cur.server == last.server && cur.from <= last.to {
+                    last.to = last.to.max(cur.to);
+                } else {
+                    w += 1;
+                    crashes[w] = cur;
+                }
+            }
+            crashes.truncate(w + 1);
+        }
+        // Positions fit `u32`: 2^32 windows would need ~100 GiB of storage.
+        let start = &mut self.crash_start;
+        start.clear();
+        for (j, w) in crashes.iter().enumerate() {
+            let s = w.server.index();
+            if start.len() <= s {
+                start.resize(s + 1, j as u32);
+            }
+        }
+        if !crashes.is_empty() {
+            start.push(crashes.len() as u32);
+        }
+        let (onsets, recoveries) = (&mut self.crash_onsets, &mut self.crash_recoveries);
+        onsets.clear();
+        onsets.extend(crashes.iter().map(|w| w.from));
+        recoveries.clear();
+        recoveries.extend(crashes.iter().map(|w| w.to));
+        let mut pos = 0;
+        merge_runs(start, onsets, &mut self.merge_heads, |j, server| {
+            crashes[pos] = CrashWindow {
+                server: ServerId(server),
+                from: onsets[j],
+                to: recoveries[j],
+            };
+            pos += 1;
+        });
+        let by_end = &mut self.crash_by_end;
+        by_end.clear();
+        merge_runs(start, recoveries, &mut self.merge_heads, |j, _| {
+            by_end.push(j as u32)
+        });
     }
 
     /// Validates and sorts the partition windows in place, then rebuilds
@@ -497,7 +535,9 @@ impl FaultPlan {
     /// buffers.
     pub fn copy_from(&mut self, other: &FaultPlan) {
         self.crashes.clone_from(&other.crashes);
-        self.crash_by_server.clone_from(&other.crash_by_server);
+        self.crash_start.clone_from(&other.crash_start);
+        self.crash_onsets.clone_from(&other.crash_onsets);
+        self.crash_recoveries.clone_from(&other.crash_recoveries);
         self.crash_by_end.clone_from(&other.crash_by_end);
         self.partitions.clone_from(&other.partitions);
         self.partition_reach.clone_from(&other.partition_reach);
@@ -578,22 +618,26 @@ impl FaultPlan {
         self.mean_delay
     }
 
-    /// Positions of `server`'s crash windows, in crash order (two binary
-    /// searches over the by-server index).
-    fn server_crashes(&self, server: ServerId) -> &[u32] {
-        let by = &self.crash_by_server;
-        let lo = by.partition_point(|&p| self.crashes[p as usize].server < server);
-        let len = by[lo..].partition_point(|&p| self.crashes[p as usize].server == server);
-        &by[lo..lo + len]
+    /// `server`'s crash and recovery instants, each strictly ascending
+    /// (empty for a server that owns no window).
+    fn server_crashes(&self, server: ServerId) -> (&[f64], &[f64]) {
+        let s = server.index();
+        match (self.crash_start.get(s), self.crash_start.get(s + 1)) {
+            (Some(&a), Some(&b)) => {
+                let run = a as usize..b as usize;
+                (&self.crash_onsets[run.clone()], &self.crash_recoveries[run])
+            }
+            _ => (&[], &[]),
+        }
     }
 
-    /// Whether `server` is down at instant `t`. `O(log w)`: the server's
-    /// windows are disjoint, so only the latest one starting at or before
-    /// `t` can cover it.
+    /// Whether `server` is down at instant `t`. `O(log w)` over the
+    /// server's own windows: they are disjoint, so only the latest one
+    /// starting at or before `t` can cover it.
     pub fn is_down(&self, server: ServerId, t: f64) -> bool {
-        let own = self.server_crashes(server);
-        let k = own.partition_point(|&p| self.crashes[p as usize].from <= t);
-        k > 0 && t < self.crashes[own[k - 1] as usize].to
+        let (onsets, recoveries) = self.server_crashes(server);
+        let k = onsets.partition_point(|&from| from <= t);
+        k > 0 && t < recoveries[k - 1]
     }
 
     /// The partitions that can cover instant `t`, in plan order.
@@ -644,13 +688,12 @@ impl FaultPlan {
         still_open(&self.brownouts, &self.brownout_reach, started, from)
     }
 
-    /// The first crash of `server` strictly after `t`, if any (`O(log w)`).
+    /// The first crash of `server` strictly after `t`, if any (`O(log w)`
+    /// over the server's own windows).
     pub fn next_crash_after(&self, server: ServerId, t: f64) -> Option<f64> {
-        let own = self.server_crashes(server);
-        let k = own.partition_point(|&p| self.crashes[p as usize].from <= t);
-        own.get(k)
-            .map(|&p| self.crashes[p as usize].from)
-            .filter(|&from| from > t)
+        let (onsets, _) = self.server_crashes(server);
+        let k = onsets.partition_point(|&from| from <= t);
+        onsets.get(k).copied().filter(|&from| from > t)
     }
 
     /// The crash instant of the latest-starting window (`-inf` if none):
@@ -678,19 +721,28 @@ impl FaultPlan {
         if servers == 0 {
             return;
         }
-        let counted = |w: &&CrashWindow| w.server.index() < servers;
-        let mut onsets = self.crashes.iter().filter(counted).peekable();
+        let mut onsets = self
+            .crashes
+            .iter()
+            .filter(|w| w.server.index() < servers)
+            .peekable();
+        // The counted servers' windows are the by-server prefix below
+        // `counted`.
+        let counted = self
+            .crash_start
+            .get(servers)
+            .map_or(self.crashes.len(), |&b| b as usize);
         let mut ends = self
             .crash_by_end
             .iter()
-            .map(|&p| &self.crashes[p as usize])
-            .filter(counted)
+            .filter(|&&j| (j as usize) < counted)
+            .map(|&j| self.crash_recoveries[j as usize])
             .peekable();
         let mut down = 0usize;
         let mut start = 0.0f64;
         loop {
             let onset_first = match (onsets.peek(), ends.peek()) {
-                (Some(on), Some(end)) => on.from.total_cmp(&end.to).is_le(),
+                (Some(on), Some(end)) => on.from.total_cmp(end).is_le(),
                 (Some(_), None) => true,
                 (None, Some(_)) => false,
                 (None, None) => break,
@@ -702,9 +754,9 @@ impl FaultPlan {
                         start = w.from;
                     }
                 }
-            } else if let Some(w) = ends.next() {
-                if down == servers && w.to > start {
-                    out.push((start, w.to));
+            } else if let Some(to) = ends.next() {
+                if down == servers && to > start {
+                    out.push((start, to));
                 }
                 down -= 1;
             }
@@ -998,8 +1050,8 @@ impl EventCursor {
     /// Consumes and returns the next event if it falls at or before
     /// `until`.
     fn next_until(&mut self, plan: &FaultPlan, until: f64) -> Option<FaultEvent> {
-        let up = plan.crash_by_end.get(self.up).map(|&p| FaultEvent::Up {
-            at: plan.crashes[p as usize].to,
+        let up = plan.crash_by_end.get(self.up).map(|&j| FaultEvent::Up {
+            at: plan.crash_recoveries[j as usize],
         });
         let heal = plan
             .partition_by_end
@@ -2049,6 +2101,57 @@ mod tests {
         out
     }
 
+    /// The two-sort normalization the by-server merge replaced: coalesce
+    /// in (server, from) order, key-sort the positions into plan order,
+    /// permute the windows there, then key-sort plan positions into
+    /// by-end order. Returns the plan-order windows and the by-end order.
+    fn normalize_two_sort(mut crashes: Vec<CrashWindow>) -> (Vec<CrashWindow>, Vec<CrashWindow>) {
+        crashes.retain(|w| valid_window(w.from, w.to));
+        crashes.sort_unstable_by(|a, b| {
+            a.server
+                .cmp(&b.server)
+                .then(a.from.total_cmp(&b.from))
+                .then(a.to.total_cmp(&b.to))
+        });
+        let mut coalesced: Vec<CrashWindow> = Vec::new();
+        for cur in crashes {
+            match coalesced.last_mut() {
+                Some(last) if cur.server == last.server && cur.from <= last.to => {
+                    last.to = last.to.max(cur.to);
+                }
+                _ => coalesced.push(cur),
+            }
+        }
+        let mut order = Vec::new();
+        fill_positions(&mut order, coalesced.len());
+        order.sort_unstable_by_key(|&q| {
+            let w = &coalesced[q as usize];
+            (total_key(w.from), w.server)
+        });
+        let plan: Vec<CrashWindow> = order.iter().map(|&q| coalesced[q as usize]).collect();
+        fill_positions(&mut order, plan.len());
+        order.sort_unstable_by_key(|&p| {
+            let w = &plan[p as usize];
+            (total_key(w.to), w.server)
+        });
+        let by_end = order.iter().map(|&p| plan[p as usize]).collect();
+        (plan, by_end)
+    }
+
+    /// The plan's by-end index as windows, read back through its
+    /// by-server layout.
+    fn by_end_windows(plan: &FaultPlan) -> Vec<CrashWindow> {
+        let start = &plan.crash_start;
+        plan.crash_by_end
+            .iter()
+            .map(|&j| CrashWindow {
+                server: ServerId::from_index(start.partition_point(|&b| b <= j) - 1),
+                from: plan.crash_onsets[j as usize],
+                to: plan.crash_recoveries[j as usize],
+            })
+            .collect()
+    }
+
     /// The sorted onset/recovery event list with per-server depth counts.
     fn total_outages_scan(plan: &FaultPlan, servers: usize) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
@@ -2163,8 +2266,15 @@ mod tests {
             })
         }
 
+        /// A plan over `M` servers. Crash windows on the servers in a
+        /// random mask are dropped, so servers owning no window (below and
+        /// above crashing ones) and plans with no window at all are common.
         fn random_plan() -> impl Strategy<Value = FaultPlan> {
-            let crashes = raw_crashes(M, 24, || instant().boxed());
+            let crashes =
+                (raw_crashes(M, 24, || instant().boxed()), 0u32..16).prop_map(|(mut c, idle)| {
+                    c.retain(|w| idle >> w.server.0 & 1 == 0);
+                    c
+                });
             let partitions = up_to(5, || (instant(), span(), 1u64..15));
             let brownouts = up_to(8, || {
                 let factor = prop_oneof![Just(0.5), Just(1.5), Just(2.0), Just(3.0)];
@@ -2214,7 +2324,8 @@ mod tests {
 
             #[test]
             fn normalization_matches_the_two_sort_coalesce(
-                // Many servers over few onsets: long runs of equal starts,
+                // Many servers over few onsets: long runs of equal starts
+                // and equal recoveries across servers (bursts share both),
                 // past the sort's small-slice cutoff, so a missing server
                 // tiebreak shows.
                 raw in raw_crashes(16, 160, || {
@@ -2222,36 +2333,65 @@ mod tests {
                 }),
             ) {
                 let plan = FaultPlan::new(raw.clone(), 1, 0.0, 0, 0.0);
-                let want = coalesce_scan(raw);
                 let bits = |c: &[CrashWindow]| -> Vec<(u32, u64, u64)> {
                     c.iter().map(|w| (w.server.0, w.from.to_bits(), w.to.to_bits())).collect()
                 };
-                prop_assert_eq!(bits(plan.crashes()), bits(&want));
+                prop_assert_eq!(bits(plan.crashes()), bits(&coalesce_scan(raw.clone())));
+                let (order, by_end) = normalize_two_sort(raw);
+                prop_assert_eq!(bits(plan.crashes()), bits(&order), "plan order");
+                prop_assert_eq!(bits(&by_end_windows(&plan)), bits(&by_end), "by-end order");
             }
 
             #[test]
-            fn indexed_queries_match_the_scans(plan in random_plan()) {
+            fn indexed_queries_match_the_scans(
+                plan in random_plan(),
+                dirty in random_plan(),
+            ) {
+                // The same plan rebuilt over a dirty one and deep-copied
+                // into another must carry the same layout and answers.
+                let mut assigned = dirty.clone();
+                assigned.assign(
+                    |c, p, b| {
+                        c.extend_from_slice(plan.crashes());
+                        p.extend_from_slice(plan.partitions());
+                        b.extend_from_slice(plan.brownouts());
+                        plan.bursts()
+                    },
+                    plan.fail_seed(),
+                    plan.fail_prob(),
+                    plan.retry_budget(),
+                    plan.backoff_base(),
+                    plan.mean_delay(),
+                    plan.queue_cap(),
+                );
+                prop_assert_eq!(&assigned, &plan);
+                let mut copied = dirty;
+                copied.copy_from(&plan);
+                prop_assert_eq!(&copied, &plan);
                 let instants = query_instants(&plan);
-                for &t in &instants {
-                    for s in 0..=M {
-                        let a = ServerId::from_index(s);
-                        prop_assert_eq!(plan.is_down(a, t), is_down_scan(&plan, a, t), "is_down({}, {})", s, t);
-                        prop_assert_eq!(plan.next_crash_after(a, t), next_crash_after_scan(&plan, a, t));
-                        prop_assert_eq!(
-                            plan.brownout_excess(a, t).to_bits(),
-                            brownout_excess_scan(&plan, a, t).to_bits()
-                        );
-                        for b in 0..M {
-                            let b = ServerId::from_index(b);
-                            prop_assert_eq!(plan.partitioned(a, b, t), partitioned_scan(&plan, a, b, t));
+                for p in [&plan, &assigned, &copied] {
+                    for &t in &instants {
+                        // Servers past the highest crashing one included.
+                        for s in 0..=M + 2 {
+                            let a = ServerId::from_index(s);
+                            prop_assert_eq!(p.is_down(a, t), is_down_scan(&plan, a, t), "is_down({}, {})", s, t);
+                            prop_assert_eq!(p.next_crash_after(a, t), next_crash_after_scan(&plan, a, t));
+                            prop_assert_eq!(
+                                p.brownout_excess(a, t).to_bits(),
+                                brownout_excess_scan(&plan, a, t).to_bits()
+                            );
+                            for b in 0..M {
+                                let b = ServerId::from_index(b);
+                                prop_assert_eq!(p.partitioned(a, b, t), partitioned_scan(&plan, a, b, t));
+                            }
                         }
+                        prop_assert_eq!(p.partition_active(t), partition_active_scan(&plan, t));
                     }
-                    prop_assert_eq!(plan.partition_active(t), partition_active_scan(&plan, t));
-                }
-                let mut out = Vec::new();
-                for servers in 0..=M + 1 {
-                    plan.total_outages_into(servers, &mut out);
-                    prop_assert_eq!(&out, &total_outages_scan(&plan, servers), "servers {}", servers);
+                    let mut out = Vec::new();
+                    for servers in 0..=M + 1 {
+                        p.total_outages_into(servers, &mut out);
+                        prop_assert_eq!(&out, &total_outages_scan(&plan, servers), "servers {}", servers);
+                    }
                 }
             }
 

@@ -3,13 +3,14 @@
 //! Phase 1 harvests every item's copy-residency intervals (borrowed out
 //! of the run records through [`mcc_simnet::RunRequest::run_units_observed`],
 //! never recomputed), each stored once as a 32-byte [`Residency`], into
-//! one list per server ([`ServerBuckets`]); each worker sorts its lists
-//! by `(from, item)` on its own thread before the join. Servers never
-//! share a slot, so each server's timeline is swept on its own: the
-//! workers' sorted runs are merged into one start order (shards are
-//! contiguous, ascending item ranges, so this is the order one global
-//! sort would give), and the server's ends are gathered into a reused
-//! lane of 16-byte `(to, item)` pairs sorted by `to`.
+//! one unsorted list per server per worker ([`ServerBuckets`]). Servers
+//! never share a slot, so each server's timeline is swept on its own, by
+//! the sweeper that owns it: it sorts each worker's list of the server by
+//! `(from, item)` in place, merges the workers' sorted runs into one
+//! start order (shards are contiguous, ascending item ranges, so this is
+//! the order one global sort would give), and gathers the server's ends
+//! into a reused lane of 16-byte `(to, item)` pairs sorted by `to`. The
+//! sort runs inside the sweep, so the fleet's capacity span times it.
 //!
 //! Pressure is resolved one of two ways:
 //!
@@ -72,11 +73,17 @@ impl Residency {
 }
 
 /// One worker's harvest: the residency intervals of its shard, one list
-/// per server, each sorted into start order by [`ServerBuckets::sort`].
-/// Warm reuse keeps every list's capacity.
+/// per server, in the order the worker produced them (the sweep sorts
+/// each list in place). Warm reuse keeps every list's capacity.
 #[derive(Default)]
 pub(crate) struct ServerBuckets {
     lists: Vec<Vec<Residency>>,
+}
+
+impl AsMut<[Vec<Residency>]> for ServerBuckets {
+    fn as_mut(&mut self) -> &mut [Vec<Residency>] {
+        &mut self.lists
+    }
 }
 
 impl ServerBuckets {
@@ -98,14 +105,6 @@ impl ServerBuckets {
             last_touch: last_touch.to_bits(),
             item,
         });
-    }
-
-    /// Sorts every list by `(from, item)`. Each worker sorts its own
-    /// harvest on its own thread, so the sweep only merges sorted runs.
-    pub(crate) fn sort(&mut self) {
-        for list in &mut self.lists {
-            list.sort_unstable_by_key(Residency::start_order);
-        }
     }
 }
 
@@ -135,11 +134,13 @@ struct Lane {
 
 impl Lane {
     /// Sweeps servers `first .. first + peaks.len()` in order, writing
-    /// each server's occupancy peak into `peaks`. The returned outcome
-    /// carries no eviction cost (the caller prices the total).
-    fn sweep(
+    /// each server's occupancy peak into `peaks`. `runs` holds, per
+    /// worker, the lists of exactly those servers; each is sorted into
+    /// start order in place before its server is replayed. The returned
+    /// outcome carries no eviction cost (the caller prices the total).
+    fn sweep<L: AsMut<[Vec<Residency>]>>(
         &mut self,
-        harvest: &[ServerBuckets],
+        runs: &mut [L],
         first: usize,
         budget: Budget,
         evictions: &mut [u32],
@@ -147,20 +148,22 @@ impl Lane {
         peaks: &mut [usize],
     ) -> CapacityOutcome {
         let mut out = CapacityOutcome::default();
-        for (s, peak) in (first..).zip(peaks.iter_mut()) {
+        for (i, peak) in peaks.iter_mut().enumerate() {
+            let s = first + i;
             self.ends.clear();
-            for worker in harvest {
-                self.ends
-                    .extend(worker.lists[s].iter().map(|r| (r.to, r.item)));
+            for worker in runs.iter_mut() {
+                let list = &mut worker.as_mut()[i];
+                list.sort_unstable_by_key(Residency::start_order);
+                self.ends.extend(list.iter().map(|r| (r.to, r.item)));
             }
             // Equal ends may land in any order: removals commute.
             self.ends.sort_unstable_by_key(|&(to, _)| to);
             out.events += 2 * self.ends.len() as u64;
             self.heads.clear();
-            self.heads.resize(harvest.len(), 0);
+            self.heads.resize(runs.len(), 0);
             let mut ends = self.ends.iter().peekable();
             let res = &mut self.residents;
-            while let Some(r) = next_start(harvest, s, &mut self.heads) {
+            while let Some(r) = next_start(runs, i, &mut self.heads) {
                 // Every copy closed by this start frees its slot first;
                 // an interval an eviction already closed is absent.
                 while let Some(&(_, item)) = ends.next_if(|&&(to, _)| to <= r.from) {
@@ -199,12 +202,16 @@ impl Lane {
     }
 }
 
-/// Takes the least `(from, item)` start on server `s` among the workers'
-/// sorted lists, advancing that worker's cursor in `heads`.
-fn next_start(harvest: &[ServerBuckets], s: usize, heads: &mut [usize]) -> Option<Residency> {
+/// Takes the least `(from, item)` start in list `i` among the workers'
+/// sorted runs, advancing that worker's cursor in `heads`.
+fn next_start<L: AsMut<[Vec<Residency>]>>(
+    runs: &mut [L],
+    i: usize,
+    heads: &mut [usize],
+) -> Option<Residency> {
     let mut best: Option<(usize, Residency)> = None;
-    for (w, (worker, &h)) in harvest.iter().zip(heads.iter()).enumerate() {
-        if let Some(&r) = worker.lists[s].get(h) {
+    for (w, (worker, &h)) in runs.iter_mut().zip(heads.iter()).enumerate() {
+        if let Some(&r) = worker.as_mut()[i].get(h) {
             if best.is_none_or(|(_, b)| r.start_order() < b.start_order()) {
                 best = Some((w, r));
             }
@@ -255,7 +262,8 @@ impl CapacityOutcome {
 }
 
 /// Replays every worker's harvest against per-server budgets of `cap`
-/// slots on up to `threads` sweepers. `harvest` must hold exactly the
+/// slots on up to `threads` sweepers, each sorting the workers' lists of
+/// its own servers in place first. `harvest` must hold exactly the
 /// workers that ran this call, each reset to `spec.servers` lists;
 /// `evictions_col` is the zeroed per-item eviction column.
 #[allow(clippy::too_many_arguments)]
@@ -263,7 +271,7 @@ pub(crate) fn capacity_sweep(
     spec: &FleetSpec,
     cap: usize,
     threads: usize,
-    harvest: &[ServerBuckets],
+    harvest: &mut [ServerBuckets],
     scratch: &mut CapacityScratch,
     evictions_col: &mut [u32],
     findings: &mut Vec<AuditFinding>,
@@ -295,11 +303,25 @@ pub(crate) fn capacity_sweep(
         if scratch.others.len() < sweepers - 1 {
             scratch.others.resize_with(sweepers - 1, Sweeper::default);
         }
+        // Sweeper `k`'s share: every worker's lists of its servers.
+        let mut shares: Vec<Vec<&mut [Vec<Residency>]>> = (0..sweepers)
+            .map(|_| Vec::with_capacity(harvest.len()))
+            .collect();
+        for worker in harvest.iter_mut() {
+            let mut lists = &mut worker.lists[..];
+            for (k, share) in shares.iter_mut().enumerate() {
+                let (own, tail) = std::mem::take(&mut lists).split_at_mut(bound(k + 1) - bound(k));
+                share.push(own);
+                lists = tail;
+            }
+        }
+        let mut shares = shares.into_iter();
+        let mut lead_share = shares.next().unwrap_or_default();
         let others = &mut scratch.others[..sweepers - 1];
         let lead = &mut scratch.lead;
         outcome = thread::scope(|scope| {
             let mut handles = Vec::with_capacity(sweepers - 1);
-            for (k, sw) in (1..).zip(others.iter_mut()) {
+            for ((k, sw), mut share) in (1..).zip(others.iter_mut()).zip(shares) {
                 let (peaks, tail) = rest.split_at_mut(bound(k + 1) - bound(k));
                 rest = tail;
                 handles.push(scope.spawn(move || {
@@ -308,7 +330,7 @@ pub(crate) fn capacity_sweep(
                     sw.findings.clear();
                     sw.lane.residents.reset(items);
                     sw.lane.sweep(
-                        harvest,
+                        &mut share,
                         bound(k),
                         budget,
                         &mut sw.evictions,
@@ -317,7 +339,14 @@ pub(crate) fn capacity_sweep(
                     )
                 }));
             }
-            let mut outcome = lead.sweep(harvest, 0, budget, evictions_col, findings, lead_peaks);
+            let mut outcome = lead.sweep(
+                &mut lead_share,
+                0,
+                budget,
+                evictions_col,
+                findings,
+                lead_peaks,
+            );
             for h in handles {
                 match h.join() {
                     Ok(o) => outcome.merge(o),
@@ -513,7 +542,8 @@ mod tests {
     /// Runs the sweep on `threads` sweepers over one harvest per worker,
     /// as the fleet builds them: `cuts` split the items into contiguous
     /// ascending shards (one per worker, some possibly empty), and each
-    /// harvest is sorted as its worker sorts it.
+    /// worker's lists keep the input's order, unsorted — the sweep sorts
+    /// them.
     fn run(
         spec: &FleetSpec,
         items: usize,
@@ -532,16 +562,13 @@ mod tests {
             let worker = bounds.partition_point(|&b| b <= i.item as usize);
             harvest[worker].push(i.item, i.server as usize, i.from, i.last_touch, i.to);
         }
-        for h in &mut harvest {
-            h.sort();
-        }
         let mut col = vec![0u32; items];
         let mut findings = Vec::new();
         let out = capacity_sweep(
             spec,
             spec.capacity.unwrap_or(1),
             threads,
-            &harvest,
+            &mut harvest,
             &mut CapacityScratch::default(),
             &mut col,
             &mut findings,
@@ -734,6 +761,20 @@ mod tests {
         })
     }
 
+    /// `intervals` in a pseudo-random order drawn from `seed`
+    /// (Fisher–Yates over an xorshift stream).
+    fn shuffled(intervals: &[Interval], seed: u64) -> Vec<Interval> {
+        let mut out = intervals.to_vec();
+        let mut x = seed | 1;
+        for i in (1..out.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            out.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -744,6 +785,7 @@ mod tests {
             lru in prop_oneof![Just(true), Just(false)],
             cuts in (0usize..=3).prop_flat_map(|n| proptest::collection::vec(0usize..=16, n)),
             threads in 1usize..=4,
+            order in 0u64..u64::MAX,
         ) {
             let spec = FleetSpec {
                 servers,
@@ -756,7 +798,9 @@ mod tests {
                 ..FleetSpec::default()
             };
             let want = oracle::capacity_sweep(servers, cap, lru_price(&spec), items, &intervals);
-            let got = run(&spec, items, &intervals, &cuts, threads);
+            // The workers' lists arrive in a random order: only the
+            // sweep's own sort puts them in start order.
+            let got = run(&spec, items, &shuffled(&intervals, order), &cuts, threads);
             prop_assert_eq!(got.0, want.0, "outcome");
             prop_assert_eq!(got.1, want.1, "per-item evictions");
             prop_assert_eq!(got.2, want.2, "findings");

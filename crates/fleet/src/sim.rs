@@ -16,10 +16,11 @@
 //! residency intervals through [`RunRequest::run_units_observed`] —
 //! borrowed out of the run record between finalize and reset, never
 //! recomputed — into one list per server, one 32-byte interval per
-//! residency, and sort those lists by start on their own thread before
-//! the join. Phase 2 (the private `capacity` module) then merges the
-//! workers' sorted runs and sweeps each server's timeline against its
-//! slot budget, dealing the servers across the job's threads.
+//! residency, in the order they come. Phase 2 (the private `capacity`
+//! module, timed by its own span) deals the servers across the job's
+//! threads; each sweeper sorts the workers' lists of its servers by
+//! start in place, merges them and sweeps each server's timeline against
+//! its slot budget.
 
 use std::panic;
 use std::thread;
@@ -62,7 +63,7 @@ pub struct FleetWorkspace {
     states: ItemStates,
     seeds: Vec<u64>,
     slots: Vec<WorkerSlot>,
-    /// Per-worker residency intervals, one sorted list per server.
+    /// Per-worker residency intervals, one list per server.
     harvest: Vec<ServerBuckets>,
     /// Cached policy for the single-threaded inline path only —
     /// [`RunPolicy`] is not `Send`, so multi-threaded workers build
@@ -220,7 +221,7 @@ fn shard_len(items: usize, threads: usize) -> usize {
 /// Runs one shard: draws the shard's `(μ, λ)` columns, streams its items
 /// through the batched runner in [`SCATTER_CHUNK`] rounds, scatters
 /// results into the SoA window and, when `harvest` is given, files every
-/// residency interval into it and sorts it. `cached` is the single-thread
+/// residency interval into it. `cached` is the single-thread
 /// policy slot; workers pass `None` and build a local policy.
 #[allow(clippy::too_many_arguments)]
 fn shard_body(
@@ -298,9 +299,6 @@ fn shard_body(
                 (r.online_cost.max(0.0) * 100.0) as u64,
             );
         }
-    }
-    if let Some(h) = harvest {
-        h.sort();
     }
     slot.ws = Some(req.into_workspace());
 }
@@ -391,7 +389,7 @@ pub fn run_fleet(
             spec,
             cap,
             threads,
-            &ws.harvest[..workers],
+            &mut ws.harvest[..workers],
             &mut ws.scratch,
             &mut ws.states.evictions,
             &mut ws.findings,
