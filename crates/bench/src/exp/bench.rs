@@ -23,10 +23,10 @@
 //! crate of this repository, read as quick-pass units done per kernel
 //! rep. A slower or busier host slows both sides; a slower suite moves
 //! the ratio. The other gates pair two live configurations (batched vs.
-//! per-instance solver, 8 threads vs. 1, metrics on vs. off) or read a
-//! latency quantile. The full run records every reading with the same
-//! function `--check` re-measures with, and one gate function judges
-//! them all.
+//! per-instance solver, 8 threads vs. 1, metrics on vs. off, SC at 256
+//! servers vs. 8) or read a latency quantile. The full run records every
+//! reading with the same function `--check` re-measures with, and one
+//! gate function judges them all.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,6 +35,7 @@ use mcc_core::offline::{
     solve_batch_in, solve_fast, solve_fast_in, solve_naive, solve_naive_in, BatchWorkspace,
     SolverWorkspace,
 };
+use mcc_core::online::{run_policy_record, Runtime, SpeculativeCaching};
 use mcc_fleet::{run_fleet, EvictionPolicy, FleetSpec, FleetWorkspace};
 use mcc_model::{CostModel, Instance, Json};
 use mcc_obs::{noop, Hist, HistSnapshot, Registry};
@@ -364,7 +365,7 @@ fn quantiles(h: &HistSnapshot, unit: &str, per_unit: f64) -> Json {
 }
 
 fn sc() -> PolicyFactory {
-    factory(mcc_core::online::SpeculativeCaching::<f64>::paper())
+    factory(SpeculativeCaching::<f64>::paper())
 }
 
 fn poisson(servers: usize, requests: usize) -> PoissonWorkload {
@@ -546,8 +547,53 @@ fn run_pass(f: &PolicyFactory, w: &dyn Workload, seeds: u64, req: &mut RunReques
     }
 }
 
+/// Requests per trace of the SC replay gate and full-scale rows.
+const SC_REQUESTS: usize = 100_000;
+/// Requests per trace of the quick SC replay rows.
+const SC_QUICK_REQUESTS: usize = 10_000;
+/// Server counts of the SC replay rows.
+const SC_SERVERS: [usize; 4] = [2, 8, 64, 256];
+/// Ceiling of the SC replay gate: ns/request at m = 256 over m = 8. A
+/// Poisson rate of 1 against `Δt = 1` keeps a handful of copies live
+/// whatever `m`, so a replay whose per-request work follows the live
+/// copies reads near 1; one that scans every server per request reads
+/// ~4.
+const SC_SCALING_CEILING: f64 = 2.0;
+
+/// Speculative Caching replaying one Poisson trace through
+/// [`run_policy_record`] with a warm policy and runtime: the decision
+/// path alone, without audit, faults or sweep dispatch.
+struct ScReplay {
+    inst: Instance<f64>,
+    sc: SpeculativeCaching<f64>,
+    rt: Runtime<f64>,
+}
+
+impl ScReplay {
+    fn new(servers: usize, requests: usize) -> Self {
+        ScReplay {
+            inst: poisson(servers, requests).generate(7),
+            sc: SpeculativeCaching::paper(),
+            rt: Runtime::new(servers),
+        }
+    }
+
+    fn run(&mut self) {
+        black_box(run_policy_record(&mut self.sc, &self.inst, &mut self.rt).0);
+    }
+
+    /// Fastest-rep ns/request.
+    fn ns_per_request(&mut self) -> f64 {
+        best_secs(|| self.run()) * 1e9 / self.inst.n() as f64
+    }
+}
+
 fn sweep_readings() -> Vec<Reading> {
     let f = sc();
+    let (mut wide, mut narrow) = (
+        ScReplay::new(256, SC_REQUESTS),
+        ScReplay::new(8, SC_REQUESTS),
+    );
     let quick = Scale::quick();
     let w = poisson(quick.servers, quick.requests);
     let mut req = RunRequest::new(RunMode::Plain);
@@ -572,6 +618,12 @@ fn sweep_readings() -> Vec<Reading> {
                 || run_pass(&f, &w, quick.seeds, &mut on),
             )),
         },
+        // SC's per-request cost must follow the live copies, not `m`.
+        Probe {
+            name: "sc_m256_vs_m8",
+            limit: Limit::Max(SC_SCALING_CEILING),
+            pair: Box::new(pair(|| wide.run(), || narrow.run())),
+        },
     ])
 }
 
@@ -584,7 +636,7 @@ fn sweep_report(quick: bool) -> Measured {
         .iter()
         .map(|&t| units / best_secs(|| sweep_pass(&f, scale, t)))
         .collect();
-    let rows = THREADS
+    let mut rows: Vec<Json> = THREADS
         .iter()
         .zip(&rates)
         .map(|(&t, &rate)| {
@@ -596,12 +648,32 @@ fn sweep_report(quick: bool) -> Measured {
             ])
         })
         .collect();
+    let n = if quick {
+        SC_QUICK_REQUESTS
+    } else {
+        SC_REQUESTS
+    };
+    for m in SC_SERVERS {
+        rows.push(obj(vec![
+            ("policy", text("sc")),
+            ("m", int(m)),
+            ("n", int(n)),
+            (
+                "ns_per_request",
+                Json::Float(ScReplay::new(m, n).ns_per_request()),
+            ),
+        ]));
+    }
     Measured {
         shape: vec![
             ("n", int(scale.requests)),
             ("m", int(scale.servers)),
             ("seeds", Json::Int(scale.seeds as i64)),
             ("cells", text("sc, sc+ft, sc-oblivious (crash rate 0.4)")),
+            (
+                "sc_replay",
+                text("poisson rate 1, unit costs, seed 7, m 2/8/64/256"),
+            ),
         ],
         unit: "units/s",
         rate: rates[0],
@@ -1239,7 +1311,17 @@ mod tests {
                     let samples = q.get("samples").and_then(Json::as_i64).unwrap();
                     assert!(samples >= 3 * decisions, "{samples} samples");
                 }
-                Suite::Solver | Suite::Sweep => assert!(d.get("quantiles").is_none()),
+                Suite::Sweep => {
+                    assert!(d.get("quantiles").is_none());
+                    // One SC replay row per server count.
+                    let sc: Vec<i64> = rows
+                        .iter()
+                        .filter(|r| r.get("ns_per_request").is_some())
+                        .filter_map(|r| r.get("m").and_then(Json::as_i64))
+                        .collect();
+                    assert_eq!(sc, SC_SERVERS.map(|m| m as i64));
+                }
+                Suite::Solver => assert!(d.get("quantiles").is_none()),
             }
         }
     }

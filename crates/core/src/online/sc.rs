@@ -25,6 +25,22 @@
 //! (it runs out its current window; the open-ended "extend forever" rule is
 //! truncated there, which is the reading under which every speculative tail
 //! `ω ≤ αλ`, as Definition 10 requires for `α = 1`).
+//!
+//! # State layout and cost
+//!
+//! The believed live copies sit in one compact, unordered list of
+//! `(expiry, server, role)` entries, and a per-server column holds each
+//! server's position in that list (`u32::MAX`: no copy). A drop
+//! swap-removes its entry and re-points the moved one. The hit check is
+//! one column read; the earliest expiry, the copies lapsing at it, the
+//! miss fallback and [`OnlineDecider::next_expiry`] scan the list only.
+//! A request therefore costs O(live copies), not O(m): at the benchmark
+//! shapes (one request per `Δt`) a handful of copies are live whatever
+//! the server count, and the worst case, every server holding a copy, is
+//! the O(m) of a per-server scan. Wherever the order of closes or of
+//! window draws is observable — copies lapsing at one instant, an epoch
+//! reset, the miss fallback's tie — servers are taken in ascending
+//! order, so runs are bit-identical to a per-server scan.
 
 use mcc_model::{CostModel, Request, Scalar, ServerId};
 
@@ -40,6 +56,19 @@ enum Role {
     /// Created (or last refreshed) as the target of a transfer.
     Target,
 }
+
+/// One believed live copy. The role lives here rather than in a
+/// per-server column: it is written whenever a copy becomes live (a serve
+/// or either end of a transfer), so a dead server's role is never read.
+#[derive(Copy, Clone, Debug)]
+struct LiveCopy<S> {
+    expiry: S,
+    server: ServerId,
+    role: Role,
+}
+
+/// The position-column value of a server without a believed copy.
+const NO_COPY: u32 = u32::MAX;
 
 /// How refresh windows are chosen.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -69,14 +98,17 @@ pub struct SpeculativeCaching<S> {
     mode: WindowMode,
     // --- per-run state ---
     window: S,
-    expiry: Vec<Option<S>>,
-    role: Vec<Role>,
+    /// The believed live copies, unordered (see the module docs).
+    copies: Vec<LiveCopy<S>>,
+    /// Per server: its entry's index in `copies`, or [`NO_COPY`].
+    slot: Vec<u32>,
     prev_server: ServerId,
     transfers_in_epoch: usize,
-    /// Scratch for the copies lapsing at one expiry event (at most a
-    /// transfer pair, but sized by whatever actually lapses). A field so
-    /// the per-request path performs no heap allocation in steady state.
-    lapsing: Vec<usize>,
+    /// Scratch for the servers closed together (the copies lapsing at
+    /// one expiry event, or an epoch reset's), sorted ascending. A field
+    /// so the per-request path performs no heap allocation in steady
+    /// state.
+    closing: Vec<ServerId>,
     /// Incremental counters for [`OnlineDecider::snapshot_stats`].
     stats: DeciderStats,
 }
@@ -126,11 +158,11 @@ impl<S: Scalar> SpeculativeCaching<S> {
             epoch_size,
             mode: WindowMode::Fixed,
             window: S::ZERO,
-            expiry: Vec::new(),
-            role: Vec::new(),
+            copies: Vec::new(),
+            slot: Vec::new(),
             prev_server: ServerId::ORIGIN,
             transfers_in_epoch: 0,
-            lapsing: Vec::new(),
+            closing: Vec::new(),
             stats: DeciderStats::default(),
         }
     }
@@ -169,96 +201,128 @@ impl<S: Scalar> SpeculativeCaching<S> {
         }
     }
 
+    /// Whether `server` holds a believed live copy.
+    #[inline]
+    fn is_live(&self, server: ServerId) -> bool {
+        self.slot[server.index()] != NO_COPY
+    }
+
+    /// The index in `copies` of `server`'s believed copy (which must
+    /// exist).
+    #[inline]
+    fn pos(&self, server: ServerId) -> usize {
+        self.slot[server.index()] as usize
+    }
+
+    /// Sets `server`'s believed copy to expire at `expiry` after a
+    /// refresh in `role`, making it live if it was not.
+    fn refresh(&mut self, server: ServerId, expiry: S, role: Role) {
+        let entry = LiveCopy {
+            expiry,
+            server,
+            role,
+        };
+        match self.slot[server.index()] {
+            NO_COPY => {
+                self.slot[server.index()] = self.copies.len() as u32;
+                self.copies.push(entry);
+            }
+            pos => self.copies[pos as usize] = entry,
+        }
+    }
+
     /// Processes every expiration event strictly before `until`.
     fn process_expiries(&mut self, rt: &mut dyn CopyOps<S>, until: S) {
-        loop {
-            // The policy's *believed* copy count, not `rt.live_copies()`:
-            // under fault injection reality can diverge from belief (crashes
-            // destroy copies, the wrapper creates repair replicas), and the
-            // expiration rules must stay self-consistent with `self.expiry`
-            // or believed expiries go stale. Fault-free, belief == reality.
-            let live = self.expiry.iter().flatten().count();
-            // Earliest scheduled expiry strictly before `until`.
+        // The policy's *believed* copies, not `rt.live_copies()`: under
+        // fault injection reality can diverge from belief (crashes destroy
+        // copies, the wrapper creates repair replicas), and the expiration
+        // rules must stay self-consistent with `self.copies` or believed
+        // expiries go stale. Fault-free, belief == reality.
+        //
+        // A sole copy's window keeps extending until the next request, so
+        // its believed expiry is *lazy* — left stale rather than advanced.
+        // The stored value is unobservable while the copy stays sole (the
+        // hit check is liveness alone, every serve refreshes it, and a
+        // transfer overwrites both ends of the pair), and laziness makes
+        // this sweep insensitive to *when* it runs: sweeping at an eager
+        // timer-wheel deadline and sweeping lazily at the next request
+        // leave bit-identical state, the property the serve-vs-replay
+        // equivalence tests pin down.
+        while self.copies.len() >= 2 {
+            // One pass finds the earliest expiry τ strictly before `until`
+            // and the (usually at most two: transfer source + target)
+            // copies lapsing at it. The scratch is taken out of `self` for
+            // the duration (drop_copy needs `&mut self`); `mem::take`
+            // leaves an empty Vec behind, so nothing allocates.
+            let mut lapsing = std::mem::take(&mut self.closing);
+            lapsing.clear();
             let mut tau = until;
-            for e in self.expiry.iter().flatten() {
-                if *e < tau {
-                    tau = *e;
+            for c in &self.copies {
+                if c.expiry < tau {
+                    tau = c.expiry;
+                    lapsing.clear();
+                    lapsing.push(c.server);
+                } else if c.expiry == tau {
+                    lapsing.push(c.server);
                 }
             }
             if !(tau < until) {
+                self.closing = lapsing;
                 return;
             }
-            if live == 1 {
-                // Sole copy: its window keeps extending until the next
-                // request, so its believed expiry is *lazy* — left stale
-                // rather than advanced. The stored value is unobservable
-                // while the copy stays sole (the hit check is `is_some()`,
-                // every serve refreshes it, and a transfer overwrites both
-                // ends of the pair), and laziness makes this sweep
-                // insensitive to *when* it runs: sweeping at an eager
-                // timer-wheel deadline and sweeping lazily at the next
-                // request leave bit-identical state, the property the
-                // serve-vs-replay equivalence tests pin down.
-                return;
-            }
-            // Collect the (at most two: transfer source + target) copies
-            // lapsing at τ. The scratch is taken out of `self` for the
-            // duration (drop_copy needs `&mut self`); `mem::take` leaves an
-            // empty Vec behind, so nothing allocates.
-            let mut lapsing = std::mem::take(&mut self.lapsing);
-            lapsing.clear();
-            lapsing.extend((0..self.expiry.len()).filter(|&j| self.expiry[j] == Some(tau)));
             debug_assert!(!lapsing.is_empty());
-            if lapsing.len() >= 2 && live == lapsing.len() {
+            lapsing.sort_unstable();
+            if lapsing.len() >= 2 && lapsing.len() == self.copies.len() {
                 // The last copies lapse together: keep the transfer target.
                 let keep = lapsing
                     .iter()
                     .copied()
-                    .find(|&j| self.role[j] == Role::Target)
+                    .find(|&j| self.copies[self.pos(j)].role == Role::Target)
                     .unwrap_or(lapsing[0]);
-                for j in &lapsing {
-                    if *j != keep {
-                        self.drop_copy(rt, *j, tau);
+                for &j in &lapsing {
+                    if j != keep {
+                        self.drop_copy(rt, j, tau);
                     }
                 }
                 let w = self.next_window();
-                self.expiry[keep] = Some(tau + w);
+                let k = self.pos(keep);
+                self.copies[k].expiry = tau + w;
             } else {
-                // Enough copies remain: delete all lapsing ones (but never
-                // the last copy overall).
-                let mut remaining = live;
+                // Fewer copies lapse than are live: delete all lapsing
+                // ones, and at least one copy remains.
                 for &j in &lapsing {
-                    if remaining == 1 {
-                        let w = self.next_window();
-                        self.expiry[j] = Some(tau + w);
-                        break;
-                    }
                     self.drop_copy(rt, j, tau);
-                    remaining -= 1;
                 }
             }
-            self.lapsing = lapsing;
+            self.closing = lapsing;
         }
     }
 
-    fn drop_copy(&mut self, rt: &mut dyn CopyOps<S>, idx: usize, at: S) {
-        rt.close(ServerId::from_index(idx), at);
-        self.expiry[idx] = None;
+    /// Closes `server`'s believed copy at `at`: its entry is swap-removed
+    /// and the entry moved into its place re-pointed.
+    fn drop_copy(&mut self, rt: &mut dyn CopyOps<S>, server: ServerId, at: S) {
+        rt.close(server, at);
+        let pos = std::mem::replace(&mut self.slot[server.index()], NO_COPY);
+        self.copies.swap_remove(pos as usize);
+        if let Some(moved) = self.copies.get(pos as usize) {
+            self.slot[moved.server.index()] = pos;
+        }
         self.stats.expirations += 1;
     }
 
-    /// The policy's believed live-copy count and the earliest believed
-    /// expiry among them.
-    fn earliest_expiry(&self) -> (usize, Option<S>) {
-        let mut live = 0usize;
-        let mut min: Option<S> = None;
-        for e in self.expiry.iter().flatten() {
-            live += 1;
-            if min.is_none_or(|m| *e < m) {
-                min = Some(*e);
-            }
-        }
-        (live, min)
+    /// The miss fallback's source: the believed copy with the latest
+    /// expiry, ties to the highest server.
+    fn latest_copy(&self) -> ServerId {
+        self.copies
+            .iter()
+            .max_by(|a, b| {
+                a.expiry
+                    .partial_cmp(&b.expiry)
+                    .expect("finite expiries")
+                    .then(a.server.cmp(&b.server))
+            })
+            .expect("at least one copy is always live")
+            .server
     }
 }
 
@@ -279,14 +343,15 @@ impl<S: Scalar> OnlinePolicy<S> for SpeculativeCaching<S> {
     fn reset(&mut self, servers: usize, cost: &CostModel<S>) {
         self.window = S::from_f64(self.window_multiplier).mul(cost.delta_t());
         assert!(self.window > S::ZERO, "speculative window must be positive");
-        // Clear-and-resize keeps the buffers' capacity, so a reused policy
-        // instance resets without reallocating.
-        self.expiry.clear();
-        self.expiry.resize(servers, None);
-        self.role.clear();
-        self.role.resize(servers, Role::Used);
+        // Clear-and-resize keeps the buffers' capacity, and the list is
+        // sized for every server holding a copy, so a reused policy
+        // instance resets and runs without reallocating.
+        self.copies.clear();
+        self.copies.reserve(servers);
+        self.slot.clear();
+        self.slot.resize(servers, NO_COPY);
         let w0 = self.next_window();
-        self.expiry[ServerId::ORIGIN.index()] = Some(w0);
+        self.refresh(ServerId::ORIGIN, w0, Role::Used);
         self.prev_server = ServerId::ORIGIN;
         self.transfers_in_epoch = 0;
         self.stats = DeciderStats::default();
@@ -294,15 +359,13 @@ impl<S: Scalar> OnlinePolicy<S> for SpeculativeCaching<S> {
 
     fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
         self.process_expiries(rt, t);
-        let idx = server.index();
-        let action = if self.expiry[idx].is_some() {
+        let action = if self.is_live(server) {
             // Live local copy: serve by caching. (A sole copy's believed
             // expiry may be stale — lazily un-advanced — so it is not
-            // compared against `t`; liveness is the `is_some` itself.)
+            // compared against `t`; liveness is the copy's presence.)
             rt.touch(server, t);
             let w = self.next_window();
-            self.expiry[idx] = Some(t + w);
-            self.role[idx] = Role::Used;
+            self.refresh(server, t + w, Role::Used);
             ServeAction::Cache
         } else {
             // Miss: transfer from the previous request's server, whose copy
@@ -315,31 +378,30 @@ impl<S: Scalar> OnlinePolicy<S> for SpeculativeCaching<S> {
             let src = if self.prev_server != server && rt.is_open(self.prev_server) {
                 self.prev_server
             } else {
-                let best = (0..self.expiry.len())
-                    .filter(|&j| self.expiry[j].is_some() && j != idx)
-                    .max_by(|&a, &b| {
-                        self.expiry[a]
-                            .partial_cmp(&self.expiry[b])
-                            .expect("finite expiries")
-                    })
-                    .expect("at least one copy is always live");
-                ServerId::from_index(best)
+                self.latest_copy()
             };
             rt.transfer(src, server, t);
             let w_src = self.next_window();
-            self.expiry[src.index()] = Some(t + w_src);
-            self.role[src.index()] = Role::Used;
+            self.refresh(src, t + w_src, Role::Used);
             let w_dst = self.next_window();
-            self.expiry[idx] = Some(t + w_dst);
-            self.role[idx] = Role::Target;
+            self.refresh(server, t + w_dst, Role::Target);
             self.transfers_in_epoch += 1;
             if self.epoch_size == Some(self.transfers_in_epoch) {
-                // Epoch complete: drop everything except the fresh target.
-                for j in 0..self.expiry.len() {
-                    if j != idx && self.expiry[j].is_some() {
-                        self.drop_copy(rt, j, t);
-                    }
+                // Epoch complete: drop everything except the fresh target,
+                // in ascending server order.
+                let mut others = std::mem::take(&mut self.closing);
+                others.clear();
+                others.extend(
+                    self.copies
+                        .iter()
+                        .map(|c| c.server)
+                        .filter(|&j| j != server),
+                );
+                others.sort_unstable();
+                for &j in &others {
+                    self.drop_copy(rt, j, t);
                 }
+                self.closing = others;
                 self.transfers_in_epoch = 0;
                 rt.begin_epoch(t);
             }
@@ -369,10 +431,10 @@ impl<S: Scalar> OnlineDecider<S> for SpeculativeCaching<S> {
         // The sole live copy never expires (its window extends lazily);
         // with two or more believed copies the earliest believed expiry
         // is the next TTL deadline.
-        match self.earliest_expiry() {
-            (live, earliest) if live >= 2 => earliest,
-            _ => None,
+        if self.copies.len() < 2 {
+            return None;
         }
+        self.copies.iter().map(|c| c.expiry).reduce(S::min2)
     }
 
     fn snapshot_stats(&self) -> DeciderStats {
