@@ -14,12 +14,13 @@
 //!
 //! Together with the `α`-parameterized window of
 //! [`SpeculativeCaching`](super::sc::SpeculativeCaching) these span the
-//! policy space the E3/E8 experiments sweep.
+//! policy space the E3/E8 experiments sweep. None of the baselines keeps
+//! TTL state, so each takes the trait's default `expire` and
+//! `next_expiry`: the daemon never arms a timer for them.
 
-use mcc_model::{CostModel, Scalar, ServerId};
+use mcc_model::{CostModel, Request, Scalar, ServerId};
 
-use super::decider::OnlineDecider;
-use super::policy::{OnlinePolicy, ServeAction};
+use super::decider::{Decision, OnlineDecider, ServeAction};
 use super::tracker::CopyOps;
 
 /// Single migrating copy: the data follows the request stream.
@@ -37,7 +38,7 @@ impl Follow {
     }
 }
 
-impl<S: Scalar> OnlinePolicy<S> for Follow {
+impl<S: Scalar> OnlineDecider<S> for Follow {
     fn name(&self) -> String {
         "follow".into()
     }
@@ -46,8 +47,9 @@ impl<S: Scalar> OnlinePolicy<S> for Follow {
         self.holder = ServerId::ORIGIN;
     }
 
-    fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
-        if server == self.holder {
+    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+        let (t, server) = (req.time, req.server);
+        let action = if server == self.holder {
             rt.touch(server, t);
             ServeAction::Cache
         } else {
@@ -56,7 +58,8 @@ impl<S: Scalar> OnlinePolicy<S> for Follow {
             rt.close(from, t);
             self.holder = server;
             ServeAction::Transfer { from }
-        }
+        };
+        Decision::new(req, action)
     }
 }
 
@@ -72,15 +75,16 @@ impl StayAtOrigin {
     }
 }
 
-impl<S: Scalar> OnlinePolicy<S> for StayAtOrigin {
+impl<S: Scalar> OnlineDecider<S> for StayAtOrigin {
     fn name(&self) -> String {
         "stay-at-origin".into()
     }
 
     fn reset(&mut self, _servers: usize, _cost: &CostModel<S>) {}
 
-    fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
-        if server == ServerId::ORIGIN {
+    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+        let (t, server) = (req.time, req.server);
+        let action = if server == ServerId::ORIGIN {
             rt.touch(server, t);
             ServeAction::Cache
         } else {
@@ -90,7 +94,8 @@ impl<S: Scalar> OnlinePolicy<S> for StayAtOrigin {
             ServeAction::Transfer {
                 from: ServerId::ORIGIN,
             }
-        }
+        };
+        Decision::new(req, action)
     }
 }
 
@@ -110,7 +115,7 @@ impl KeepEverywhere {
     }
 }
 
-impl<S: Scalar> OnlinePolicy<S> for KeepEverywhere {
+impl<S: Scalar> OnlineDecider<S> for KeepEverywhere {
     fn name(&self) -> String {
         "keep-everywhere".into()
     }
@@ -119,7 +124,8 @@ impl<S: Scalar> OnlinePolicy<S> for KeepEverywhere {
         self.last_used = ServerId::ORIGIN;
     }
 
-    fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
+    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+        let (t, server) = (req.time, req.server);
         let action = if rt.is_open(server) {
             rt.touch(server, t);
             ServeAction::Cache
@@ -129,7 +135,7 @@ impl<S: Scalar> OnlinePolicy<S> for KeepEverywhere {
             ServeAction::Transfer { from }
         };
         self.last_used = server;
-        action
+        Decision::new(req, action)
     }
 
     fn close_time(&self, _server: ServerId, last_touch: S, horizon: S) -> S {
@@ -137,13 +143,6 @@ impl<S: Scalar> OnlinePolicy<S> for KeepEverywhere {
         last_touch.max2(horizon)
     }
 }
-
-// The baselines keep no TTL state, so the all-default decider impl is
-// exactly right: expirations happen nowhere, `observe` delegates to
-// `on_request`, and the daemon never needs a timer for them.
-impl<S: Scalar> OnlineDecider<S> for Follow {}
-impl<S: Scalar> OnlineDecider<S> for StayAtOrigin {}
-impl<S: Scalar> OnlineDecider<S> for KeepEverywhere {}
 
 #[cfg(test)]
 mod tests {

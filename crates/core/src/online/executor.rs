@@ -1,16 +1,16 @@
 //! Drives an online policy over a request sequence and assembles the
 //! outcome.
 //!
-//! Both runners are thin drivers over the incremental
-//! [`OnlineDecider`] API: each materialized request is fed through
+//! Both runners are thin drivers over the one policy trait,
+//! [`OnlineDecider`]: each materialized request is fed through
 //! [`OnlineDecider::observe`], exactly the call a live `mcc-serve`
-//! daemon makes per arriving request — batch replay and real-time
-//! serving share one decision core.
+//! daemon makes per arriving request, then [`OnlineDecider::on_finish`]
+//! and the policy's [`OnlineDecider::close_time`] finalize the run —
+//! batch replay and real-time serving share one decision core.
 
 use mcc_model::{Instance, Request, Scalar, Schedule};
 
-use super::decider::OnlineDecider;
-use super::policy::{OnlinePolicy, ServeAction};
+use super::decider::{OnlineDecider, ServeAction};
 use super::tracker::{CopyRecord, RunRecord, Runtime};
 
 /// The full outcome of one online run.
@@ -104,10 +104,10 @@ pub fn run_policy_record<'rt, S: Scalar, P: OnlineDecider<S> + ?Sized>(
 }
 
 /// Finalizes `rt` exactly the way batch replay does: every copy still
-/// live closes at the policy's [`OnlinePolicy::close_time`], except that
+/// live closes at the policy's [`OnlineDecider::close_time`], except that
 /// an empty sequence never speculates. Shared with the `mcc-serve`
 /// engine so a served item and a replayed one finalize bit-identically.
-pub fn finalize_record<'rt, S: Scalar, P: OnlinePolicy<S> + ?Sized>(
+pub fn finalize_record<'rt, S: Scalar, P: OnlineDecider<S> + ?Sized>(
     policy: &P,
     rt: &'rt mut Runtime<S>,
     requests: usize,
@@ -251,6 +251,7 @@ pub fn run_policy<S: Scalar, P: OnlineDecider<S> + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::decider::Decision;
     use mcc_model::{CostModel, ServerId};
 
     /// Keep a single copy that follows the requests (inline baseline used
@@ -258,20 +259,20 @@ mod tests {
     struct Follow {
         holder: ServerId,
     }
-    impl OnlinePolicy<f64> for Follow {
+    impl OnlineDecider<f64> for Follow {
         fn name(&self) -> String {
             "follow-inline".into()
         }
         fn reset(&mut self, _servers: usize, _cost: &CostModel<f64>) {
             self.holder = ServerId::ORIGIN;
         }
-        fn on_request(
+        fn observe(
             &mut self,
-            t: f64,
-            server: ServerId,
+            req: Request<f64>,
             rt: &mut dyn super::super::tracker::CopyOps<f64>,
-        ) -> ServeAction {
-            if server == self.holder {
+        ) -> Decision<f64> {
+            let (t, server) = (req.time, req.server);
+            let action = if server == self.holder {
                 rt.touch(server, t);
                 ServeAction::Cache
             } else {
@@ -280,10 +281,10 @@ mod tests {
                 rt.close(from, t);
                 self.holder = server;
                 ServeAction::Transfer { from }
-            }
+            };
+            Decision::new(req, action)
         }
     }
-    impl OnlineDecider<f64> for Follow {}
 
     #[test]
     fn executor_runs_and_costs_a_simple_policy() {

@@ -12,7 +12,7 @@
 //! same plan can degrade an online run and an off-line plan execution
 //! identically.
 //!
-//! [`FaultTolerant`] wraps any [`OnlinePolicy`] and makes it survive a
+//! [`FaultTolerant`] wraps any [`OnlineDecider`] and makes it survive a
 //! plan. The wrapped policy keeps issuing operations against what it
 //! *believes* the copy state is; a [`CopyOps`] mediator interposes and
 //! repairs each operation against reality:
@@ -48,7 +48,7 @@
 //! the first recovery instant the wrapper **reseeds** a copy from durable
 //! storage on the lowest-indexed up server ([`CopyOps::reseed`], one `λ`
 //! in [`FaultStats::reseed_cost`]); an end-of-run queue is replayed in
-//! [`OnlinePolicy::on_finish`]. Requests that cannot reach any live copy
+//! [`OnlineDecider::on_finish`]. Requests that cannot reach any live copy
 //! across an active partition defer the same way and replay when the
 //! partition lifts. When a crash strands the sole copy with every up
 //! server across a partition, the wrapper reseeds from durable storage on
@@ -90,8 +90,7 @@ use std::sync::Arc;
 
 use mcc_model::{CostModel, Request, Scalar, ServerId};
 
-use super::decider::{DeciderStats, Decision, OnlineDecider};
-use super::policy::{OnlinePolicy, ServeAction};
+use super::decider::{Decision, OnlineDecider, ServeAction};
 use super::tracker::{CopyOps, CopyRecord, RunRecord, TransferRecord};
 
 /// One server outage: the server is down over the half-open `[from, to)`.
@@ -1013,6 +1012,18 @@ pub struct FaultStats {
     pub total_delay: f64,
 }
 
+impl FaultStats {
+    /// The whole degraded cost of a run whose schedule costs
+    /// `schedule_cost`: plus the brownout surcharge (which must already
+    /// be stored in [`FaultStats::brownout_cost`]), then the retry,
+    /// replay and reseed surcharges, added left to right in that order.
+    /// Batch replay and the serve engine both price a wrapped run
+    /// through here, so their totals agree to the bit.
+    pub fn online_cost(&self, schedule_cost: f64) -> f64 {
+        schedule_cost + self.brownout_cost + self.retry_cost + self.replay_cost + self.reseed_cost
+    }
+}
+
 /// A crash, recovery, or partition-heal instant, in the merged per-run
 /// event order.
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -1103,8 +1114,6 @@ pub struct FaultTolerant<P> {
     queued: u32,
     /// Remaining per-run failed-attempt budget.
     budget_left: u32,
-    /// Incremental request counters for [`OnlineDecider::snapshot_stats`].
-    dstats: DeciderStats,
 }
 
 impl<P> FaultTolerant<P> {
@@ -1123,7 +1132,6 @@ impl<P> FaultTolerant<P> {
             bootstrapped: false,
             queued: 0,
             budget_left,
-            dstats: DeciderStats::default(),
         }
     }
 
@@ -1151,13 +1159,6 @@ impl<P> FaultTolerant<P> {
     /// copied first (`Arc::make_mut`).
     pub fn plan_mut(&mut self) -> &mut FaultPlan {
         Arc::make_mut(&mut self.plan)
-    }
-
-    /// Replaces the wrapper's plan with a copy of `plan` — windows and
-    /// indexes — reusing the existing buffers. Only between runs, as with
-    /// [`FaultTolerant::plan_mut`].
-    pub fn set_plan(&mut self, plan: &FaultPlan) {
-        self.plan_mut().copy_from(plan);
     }
 
     /// Unwraps the inner policy.
@@ -1377,7 +1378,7 @@ impl<P> FaultTolerant<P> {
     }
 }
 
-impl<S: Scalar, P: OnlinePolicy<S>> OnlinePolicy<S> for FaultTolerant<P> {
+impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
     fn name(&self) -> String {
         format!("{}+ft", self.inner.name())
     }
@@ -1391,10 +1392,10 @@ impl<S: Scalar, P: OnlinePolicy<S>> OnlinePolicy<S> for FaultTolerant<P> {
         self.bootstrapped = false;
         self.queued = 0;
         self.budget_left = self.plan.retry_budget();
-        self.dstats = DeciderStats::default();
     }
 
-    fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
+    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+        let (t, server) = (req.time, req.server);
         if !self.bootstrapped {
             self.bootstrapped = true;
             if self.plan.has_crashes() {
@@ -1407,12 +1408,12 @@ impl<S: Scalar, P: OnlinePolicy<S>> OnlinePolicy<S> for FaultTolerant<P> {
         if rt.live_copies() == 0 {
             // Total outage: no copy anywhere, nothing to serve from. Defer
             // into the degraded-mode queue until first recovery.
-            return self.defer(false);
+            return Decision::new(req, self.defer(false));
         }
         if !rt.is_open(server) && best_source(rt, server, &self.plan, t.to_f64()).is_none() {
             // Every live copy sits across an active partition: the serving
             // transfer is illegal, so the request waits for the heal.
-            return self.defer(true);
+            return Decision::new(req, self.defer(true));
         }
         // Split borrows: the mediator takes the plan and counters, the
         // inner policy drives it.
@@ -1423,35 +1424,10 @@ impl<S: Scalar, P: OnlinePolicy<S>> OnlinePolicy<S> for FaultTolerant<P> {
             lambda: self.lambda,
             budget_left: &mut self.budget_left,
         };
-        self.inner.on_request(t, server, &mut view)
+        self.inner.observe(req, &mut view)
     }
 
-    fn close_time(&self, server: ServerId, last_touch: S, horizon: S) -> S {
-        let t = self.inner.close_time(server, last_touch, horizon);
-        // A crash pre-empts the policy's intended close: the copy is gone
-        // at the crash instant, so no caching accrues past it.
-        match self.plan.next_crash_after(server, last_touch.to_f64()) {
-            Some(c) if c < t.to_f64() => S::from_f64(c).max2(last_touch),
-            _ => t,
-        }
-    }
-
-    fn on_finish(&mut self) {
-        // End-of-run recovery: whatever is still queued is replayed against
-        // durable storage, so no request is ever silently lost.
-        self.drain_queue();
-        self.inner.on_finish();
-    }
-}
-
-impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
-    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
-        let d = Decision::new(req, self.on_request(req.time, req.server, rt));
-        self.dstats.record(&d);
-        d
-    }
-
-    /// Mirrors [`OnlinePolicy::on_request`]'s fault handling without
+    /// Mirrors [`OnlineDecider::observe`]'s fault handling without
     /// serving anything: bootstrap insurance, fault events up to `now`,
     /// then the inner decider's sweep through the mediating view.
     fn expire(&mut self, now: S, rt: &mut dyn CopyOps<S>) {
@@ -1483,11 +1459,21 @@ impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
         None
     }
 
-    fn snapshot_stats(&self) -> DeciderStats {
-        DeciderStats {
-            expirations: self.inner.snapshot_stats().expirations,
-            ..self.dstats
+    fn close_time(&self, server: ServerId, last_touch: S, horizon: S) -> S {
+        let t = self.inner.close_time(server, last_touch, horizon);
+        // A crash pre-empts the policy's intended close: the copy is gone
+        // at the crash instant, so no caching accrues past it.
+        match self.plan.next_crash_after(server, last_touch.to_f64()) {
+            Some(c) if c < t.to_f64() => S::from_f64(c).max2(last_touch),
+            _ => t,
         }
+    }
+
+    fn on_finish(&mut self) {
+        // End-of-run recovery: whatever is still queued is replayed against
+        // durable storage, so no request is ever silently lost.
+        self.drain_queue();
+        self.inner.on_finish();
     }
 }
 

@@ -9,22 +9,23 @@
 //!   Theorem 3 chain, computable for any concrete run.
 //! * [`run_policy`] — the strictly-online executor producing a validated
 //!   [`mcc_model::Schedule`].
-//! * [`decider`] — the incremental [`OnlineDecider`] API (one request in,
-//!   one [`Decision`] out, TTL deadlines exposed for a timer wheel): the
-//!   decision core shared by batch replay and the `mcc-serve` daemon.
+//! * [`decider`] — [`OnlineDecider`], the one policy trait (one request
+//!   in, one [`Decision`] out, TTL deadlines exposed for a timer wheel):
+//!   the decision core shared by batch replay and the `mcc-serve` daemon.
+//!   Every policy above implements it, and [`FaultTolerant`] wraps any
+//!   implementation in the chaos layer.
 
 pub mod baselines;
 pub mod decider;
 pub mod dt;
 pub mod executor;
 pub mod fault;
-pub mod policy;
 pub mod reduction;
 pub mod sc;
 pub mod tracker;
 
 pub use baselines::{Follow, KeepEverywhere, StayAtOrigin};
-pub use decider::{DeciderStats, Decision, OnlineDecider};
+pub use decider::{Decision, OnlineDecider, ServeAction};
 pub use dt::{double_transfer, DtCache, DtSchedule, DtTransfer};
 pub use executor::{
     finalize_record, run_policy, run_policy_record, stats_from_record, OnlineRun, RunFold, RunStats,
@@ -33,7 +34,6 @@ pub use fault::{
     brownout_surcharge, BrownoutFold, BrownoutWindow, CrashWindow, FaultPlan, FaultStats,
     FaultTolerant, PartitionWindow, RetryDraw,
 };
-pub use policy::{OnlinePolicy, ServeAction};
 pub use reduction::{analyze, ReductionReport};
 pub use sc::SpeculativeCaching;
 pub use tracker::{CopyOps, CopyRecord, RecordFold, RunRecord, Runtime, TransferRecord};

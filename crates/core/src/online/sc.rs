@@ -44,8 +44,7 @@
 
 use mcc_model::{CostModel, Request, Scalar, ServerId};
 
-use super::decider::{DeciderStats, Decision, OnlineDecider};
-use super::policy::{OnlinePolicy, ServeAction};
+use super::decider::{Decision, OnlineDecider, ServeAction};
 use super::tracker::CopyOps;
 
 /// Last-refresh role of a live copy, used by the pair tie-break.
@@ -109,8 +108,6 @@ pub struct SpeculativeCaching<S> {
     /// so the per-request path performs no heap allocation in steady
     /// state.
     closing: Vec<ServerId>,
-    /// Incremental counters for [`OnlineDecider::snapshot_stats`].
-    stats: DeciderStats,
 }
 
 impl<S: Scalar> SpeculativeCaching<S> {
@@ -163,7 +160,6 @@ impl<S: Scalar> SpeculativeCaching<S> {
             prev_server: ServerId::ORIGIN,
             transfers_in_epoch: 0,
             closing: Vec::new(),
-            stats: DeciderStats::default(),
         }
     }
 
@@ -307,7 +303,6 @@ impl<S: Scalar> SpeculativeCaching<S> {
         if let Some(moved) = self.copies.get(pos as usize) {
             self.slot[moved.server.index()] = pos;
         }
-        self.stats.expirations += 1;
     }
 
     /// The miss fallback's source: the believed copy with the latest
@@ -326,7 +321,7 @@ impl<S: Scalar> SpeculativeCaching<S> {
     }
 }
 
-impl<S: Scalar> OnlinePolicy<S> for SpeculativeCaching<S> {
+impl<S: Scalar> OnlineDecider<S> for SpeculativeCaching<S> {
     fn name(&self) -> String {
         let alpha = self.window_multiplier;
         if matches!(self.mode, WindowMode::Randomized { .. }) {
@@ -354,10 +349,10 @@ impl<S: Scalar> OnlinePolicy<S> for SpeculativeCaching<S> {
         self.refresh(ServerId::ORIGIN, w0, Role::Used);
         self.prev_server = ServerId::ORIGIN;
         self.transfers_in_epoch = 0;
-        self.stats = DeciderStats::default();
     }
 
-    fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
+    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+        let (t, server) = (req.time, req.server);
         self.process_expiries(rt, t);
         let action = if self.is_live(server) {
             // Live local copy: serve by caching. (A sole copy's believed
@@ -408,19 +403,7 @@ impl<S: Scalar> OnlinePolicy<S> for SpeculativeCaching<S> {
             ServeAction::Transfer { from: src }
         };
         self.prev_server = server;
-        action
-    }
-
-    fn close_time(&self, _server: ServerId, last_touch: S, _horizon: S) -> S {
-        last_touch + self.window
-    }
-}
-
-impl<S: Scalar> OnlineDecider<S> for SpeculativeCaching<S> {
-    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
-        let d = Decision::new(req, self.on_request(req.time, req.server, rt));
-        self.stats.record(&d);
-        d
+        Decision::new(req, action)
     }
 
     fn expire(&mut self, now: S, rt: &mut dyn CopyOps<S>) {
@@ -437,8 +420,8 @@ impl<S: Scalar> OnlineDecider<S> for SpeculativeCaching<S> {
         self.copies.iter().map(|c| c.expiry).reduce(S::min2)
     }
 
-    fn snapshot_stats(&self) -> DeciderStats {
-        self.stats
+    fn close_time(&self, _server: ServerId, last_touch: S, _horizon: S) -> S {
+        last_touch + self.window
     }
 }
 

@@ -156,9 +156,7 @@ proptest! {
 /// the live copies instead; the oracle tests below pin the two together
 /// decision for decision, record for record.
 mod scan_sc {
-    use mcc_core::online::{
-        CopyOps, DeciderStats, Decision, OnlineDecider, OnlinePolicy, ServeAction,
-    };
+    use mcc_core::online::{CopyOps, Decision, OnlineDecider, ServeAction};
     use mcc_model::{CostModel, Request, Scalar, ServerId};
 
     #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -177,7 +175,6 @@ mod scan_sc {
         role: Vec<Role>,
         prev_server: ServerId,
         transfers_in_epoch: usize,
-        stats: DeciderStats,
     }
 
     impl<S: Scalar> ScanSc<S> {
@@ -193,7 +190,6 @@ mod scan_sc {
                 role: Vec::new(),
                 prev_server: ServerId::ORIGIN,
                 transfers_in_epoch: 0,
-                stats: DeciderStats::default(),
             }
         }
 
@@ -257,11 +253,10 @@ mod scan_sc {
         fn drop_copy(&mut self, rt: &mut dyn CopyOps<S>, idx: usize, at: S) {
             rt.close(ServerId::from_index(idx), at);
             self.expiry[idx] = None;
-            self.stats.expirations += 1;
         }
     }
 
-    impl<S: Scalar> OnlinePolicy<S> for ScanSc<S> {
+    impl<S: Scalar> OnlineDecider<S> for ScanSc<S> {
         fn name(&self) -> String {
             let alpha = self.alpha;
             if self.rng.is_some() {
@@ -285,10 +280,10 @@ mod scan_sc {
             self.expiry[ServerId::ORIGIN.index()] = Some(w0);
             self.prev_server = ServerId::ORIGIN;
             self.transfers_in_epoch = 0;
-            self.stats = DeciderStats::default();
         }
 
-        fn on_request(&mut self, t: S, server: ServerId, rt: &mut dyn CopyOps<S>) -> ServeAction {
+        fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+            let (t, server) = (req.time, req.server);
             self.process_expiries(rt, t);
             let idx = server.index();
             let action = if self.expiry[idx].is_some() {
@@ -327,19 +322,7 @@ mod scan_sc {
                 ServeAction::Transfer { from: src }
             };
             self.prev_server = server;
-            action
-        }
-
-        fn close_time(&self, _server: ServerId, last_touch: S, _horizon: S) -> S {
-            last_touch + self.window
-        }
-    }
-
-    impl<S: Scalar> OnlineDecider<S> for ScanSc<S> {
-        fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
-            let d = Decision::new(req, self.on_request(req.time, req.server, rt));
-            self.stats.record(&d);
-            d
+            Decision::new(req, action)
         }
 
         fn expire(&mut self, now: S, rt: &mut dyn CopyOps<S>) {
@@ -361,8 +344,8 @@ mod scan_sc {
             }
         }
 
-        fn snapshot_stats(&self) -> DeciderStats {
-            self.stats
+        fn close_time(&self, _server: ServerId, last_touch: S, _horizon: S) -> S {
+            last_touch + self.window
         }
     }
 }
@@ -546,9 +529,9 @@ fn fault_parts() -> impl Strategy<Value = FaultParts> {
 }
 
 /// Drives `new` and `old` through `script` in lockstep, each on a runtime
-/// of its own, and fails at the first divergence: in a decision, the
-/// decider counters, the next expiry deadline, the copy records closed
-/// so far (in close order), the transfers, the epoch boundaries, or
+/// of its own, and fails at the first divergence: in a decision, the next
+/// expiry deadline, the copy records closed so far (in close order, so
+/// every expiration is compared), the transfers, the epoch boundaries, or
 /// whatever `same` compares; and finally in the finalized record.
 fn lockstep<S, A, B>(
     new: &mut A,
@@ -568,7 +551,6 @@ where
     prop_assert_eq!(new.name(), old.name());
     let (mut rt_new, mut rt_old) = (Runtime::new(m), Runtime::new(m));
     let agree = |new: &A, old: &B, rt_new: &Runtime<S>, rt_old: &Runtime<S>, at: &str| {
-        prop_assert_eq!(new.snapshot_stats(), old.snapshot_stats(), "{}", at);
         prop_assert_eq!(new.next_expiry(), old.next_expiry(), "{}", at);
         let (a, b) = (rt_new.record(), rt_old.record());
         prop_assert_eq!(&a.records, &b.records, "{}", at);

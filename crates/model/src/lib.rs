@@ -49,7 +49,7 @@ pub use instance::{Instance, InstanceBuf};
 pub use json::{Json, JsonAtom, JsonScalar, MAX_JSON_DEPTH};
 pub use prescan::{Prescan, PrescanBatch, ServerLists};
 pub use request::Request;
-pub use scalar::{Fixed, Scalar, FIXED_SCALE};
+pub use scalar::{tol_band, Fixed, Scalar, FIXED_SCALE};
 pub use schedule::{CacheInterval, Schedule, Transfer};
 pub use spacetime::{Edge, EdgeKind, SpaceTimeGraph, Vertex};
 pub use standard_form::{

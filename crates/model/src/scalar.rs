@@ -133,6 +133,26 @@ impl Scalar for f64 {
     }
 }
 
+/// Inclusive bounds `[lo, hi]` holding every `b` that
+/// `a.approx_eq(b, tol)` can accept, for a binary-searched band over
+/// sorted times. For a finite `a` and `0 ≤ tol < 1/4`,
+/// `|a − b| ≤ tol·max(|a|, |b|, 1)` implies
+/// `|a − b| ≤ tol/(1 − tol)·max(|a|, 1) < 4/3·tol·max(|a|, 1)`; the band
+/// is three times wider than that, which absorbs the rounding of both the
+/// tolerance test and the bounds. Any other input gets the whole line, so
+/// the exact test alone decides. A finite `a` still matches an infinite
+/// `b` at any `tol > 0`, which no finite band holds: callers search only
+/// lists of finite times.
+#[inline]
+pub fn tol_band(tol: f64, a: f64) -> (f64, f64) {
+    if a.is_finite() && (0.0..0.25).contains(&tol) {
+        let d = 4.0 * tol * a.abs().max(1.0);
+        (a - d, a + d)
+    } else {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    }
+}
+
 /// Number of fixed-point fractional units per 1.0 (micro-units).
 pub const FIXED_SCALE: i64 = 1_000_000;
 

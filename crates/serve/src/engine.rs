@@ -79,6 +79,10 @@
 //! [`ReplayNote`] per buffered request in arrival order — a side
 //! channel for clients, deliberately *not* part of the decision stream,
 //! which stays identical to batch replay.
+//!
+//! [`OnlineDecider::observe`]: mcc_core::online::OnlineDecider::observe
+//! [`OnlineDecider::expire`]: mcc_core::online::OnlineDecider::expire
+//! [`OnlineDecider::next_expiry`]: mcc_core::online::OnlineDecider::next_expiry
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -86,8 +90,8 @@ use std::time::Instant;
 
 use mcc_core::keyed_heap::{key_time, time_key, KeyedHeap};
 use mcc_core::online::{
-    finalize_record, BrownoutFold, CopyRecord, FaultPlan, FaultTolerant, OnlineDecider,
-    OnlinePolicy, RecordFold, RunFold, Runtime, ServeAction, TransferRecord,
+    finalize_record, BrownoutFold, CopyRecord, FaultPlan, FaultTolerant, RecordFold, RunFold,
+    Runtime, ServeAction, TransferRecord,
 };
 use mcc_model::{CostModel, Request, ServerId};
 use mcc_obs::{Counter, Gauge, Hist, Sink};
@@ -318,31 +322,14 @@ impl RecordFold<f64> for SlotFold<'_> {
 }
 
 impl ItemSlot {
-    /// The item's policy as the decider seam, beside its runtime.
-    fn decider(&mut self) -> (&mut dyn OnlineDecider<f64>, &mut Runtime<f64>) {
-        match &mut self.policy {
-            RunPolicy::Plain(p) => (p.as_mut(), &mut self.rt),
-            RunPolicy::Tolerant(w) => (w.as_mut(), &mut self.rt),
-        }
-    }
-
-    /// The item's next believed expiry, if its policy exposes one.
-    fn next_expiry(&self) -> Option<f64> {
-        match &self.policy {
-            RunPolicy::Plain(p) => p.next_expiry(),
-            RunPolicy::Tolerant(w) => w.next_expiry(),
-        }
-    }
-
     /// Folds and drops every record the runtime can release, and
     /// refreshes the live-copy count; returns `(now, before)`.
     fn settle(&mut self, cost: &CostModel<f64>) -> (usize, usize) {
-        let brownout = match &self.policy {
-            RunPolicy::Tolerant(w) if !w.plan().brownouts().is_empty() => {
-                Some((w.plan(), &mut self.brownout))
-            }
-            _ => None,
-        };
+        let brownout = self
+            .policy
+            .plan()
+            .filter(|plan| !plan.brownouts().is_empty())
+            .map(|plan| (plan, &mut self.brownout));
         self.rt.settle(&mut SlotFold {
             cost,
             run: &mut self.fold,
@@ -439,6 +426,8 @@ impl<'s> ServeEngine<'s> {
     /// Answers one request: admit (or shed), sweep due timers, decide
     /// through the item's [`OnlineDecider`], re-arm the item's deadline,
     /// and surface any offline-queue recoveries as [`ReplayNote`]s.
+    ///
+    /// [`OnlineDecider`]: mcc_core::online::OnlineDecider
     pub fn observe(&mut self, item: u64, server: u32, t: f64) -> ServeReply {
         let t0 = Instant::now();
         if !t.is_finite() || t < 0.0 {
@@ -468,8 +457,8 @@ impl<'s> ServeEngine<'s> {
             if t < slot.last_t {
                 return self.shed(item, ShedReason::TimeRegression);
             }
-            let (decider, rt) = slot.decider();
-            let decision = decider.observe(Request::new(ServerId(server), t), rt);
+            let req = Request::new(ServerId(server), t);
+            let decision = slot.policy.decider_mut().observe(req, &mut slot.rt);
             slot.last_t = t;
             slot.requests += 1;
             match decision.action {
@@ -478,7 +467,12 @@ impl<'s> ServeEngine<'s> {
                 ServeAction::Transfer { .. } => {}
             }
             let (live_now, prev) = slot.settle(&self.cfg.cost);
-            (decision.action, live_now, prev, slot.next_expiry())
+            (
+                decision.action,
+                live_now,
+                prev,
+                slot.policy.decider().next_expiry(),
+            )
         };
         match action {
             ServeAction::Cache => self.stats.cache_hits += 1,
@@ -549,30 +543,21 @@ impl<'s> ServeEngine<'s> {
             brownout,
             ..
         } = slot;
-        let (stats, online_cost) = match policy {
-            RunPolicy::Plain(p) => {
-                p.on_finish();
-                fold.record(finalize_record(p, rt, requests, horizon), cost);
-                let stats = fold.stats(hits, deferred);
-                (stats, stats.total_cost)
+        let decider = policy.decider_mut();
+        decider.on_finish();
+        let rec = finalize_record(decider, rt, requests, horizon);
+        fold.record(rec, cost);
+        let stats = fold.stats(hits, deferred);
+        let online_cost = match policy.wrapper_mut() {
+            // The exact fold batch replay applies (`seed_core` in
+            // mcc-simnet): the brownout surcharge from the record
+            // geometry, then the wrapper surcharges — bit-identical
+            // totals.
+            Some(w) => {
+                w.stats_mut().brownout_cost = brownout.finish(w.plan(), rec, cost);
+                w.stats().online_cost(stats.total_cost)
             }
-            RunPolicy::Tolerant(w) => {
-                w.on_finish();
-                let rec = finalize_record(w, rt, requests, horizon);
-                fold.record(rec, cost);
-                // The exact fold batch replay applies (`seed_faulty_body`
-                // in mcc-simnet): brownout surcharge from the record
-                // geometry, then the wrapper surcharges, in this order —
-                // bit-identical totals.
-                let sur = brownout.finish(w.plan(), rec, cost);
-                w.stats_mut().brownout_cost = sur;
-                let f = w.stats();
-                let stats = fold.stats(hits, deferred);
-                (
-                    stats,
-                    stats.total_cost + sur + f.retry_cost + f.replay_cost + f.reseed_cost,
-                )
-            }
+            None => stats.total_cost,
         };
         self.stats.items_finished += 1;
         self.stats.finished_cost += online_cost;
@@ -643,10 +628,7 @@ impl<'s> ServeEngine<'s> {
             }
         };
         if let Some(slot) = self.slots.get_mut(idx) {
-            match &mut slot.policy {
-                RunPolicy::Plain(p) => p.reset(servers, cost),
-                RunPolicy::Tolerant(w) => w.reset(servers, cost),
-            }
+            slot.policy.decider_mut().reset(servers, cost);
             slot.rt.reset(servers);
             slot.fold = RunFold::default();
             slot.brownout.reset();
@@ -673,6 +655,8 @@ impl<'s> ServeEngine<'s> {
     /// deadline *at* `until` is not due: the decider keeps a copy live
     /// through its expiry instant, so firing it would re-arm the same
     /// node forever.
+    ///
+    /// [`OnlineDecider::expire`]: mcc_core::online::OnlineDecider::expire
     fn sweep(&mut self, until: f64) {
         while let Some((at, slot)) = self.timers.peek() {
             if key_time(at) >= until {
@@ -685,10 +669,9 @@ impl<'s> ServeEngine<'s> {
                 self.timers.remove(idx as u32);
                 continue;
             };
-            let (decider, rt) = slot.decider();
-            decider.expire(until, rt);
+            slot.policy.decider_mut().expire(until, &mut slot.rt);
             let (live_now, prev) = slot.settle(&self.cfg.cost);
-            let rearm = slot.next_expiry();
+            let rearm = slot.policy.decider().next_expiry();
             self.copies_live = self.copies_live.saturating_sub(prev) + live_now;
             self.stats.expirations += 1;
             self.sink.add(Counter::ServeExpirations, 1);
@@ -938,9 +921,9 @@ mod tests {
         let mut e = ServeEngine::new(cfg, factory(SpeculativeCaching::paper()));
         e.observe(1, 0, 0.5);
         e.observe(2, 1, 0.6);
-        let plan_of = |item: u64| match &e.slots[e.index[&item]].policy {
-            RunPolicy::Tolerant(w) => w.plan() as *const FaultPlan,
-            RunPolicy::Plain(_) => panic!("item {item} runs without its plan"),
+        let plan_of = |item: u64| {
+            let plan = e.slots[e.index[&item]].policy.plan();
+            plan.expect("every item runs under the plan") as *const FaultPlan
         };
         let shared = e.cfg.plan.as_deref().unwrap() as *const FaultPlan;
         assert_eq!(plan_of(1), shared);

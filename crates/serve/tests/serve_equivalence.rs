@@ -14,8 +14,7 @@
 
 use mcc_core::online::{
     brownout_surcharge, finalize_record, run_policy, run_policy_record, stats_from_record,
-    CrashWindow, FaultPlan, FaultTolerant, OnlineDecider, OnlinePolicy, Runtime, ServeAction,
-    SpeculativeCaching,
+    CrashWindow, FaultPlan, FaultTolerant, OnlineDecider, Runtime, ServeAction, SpeculativeCaching,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
 use mcc_serve::{ServeConfig, ServeEngine, ServeReply};

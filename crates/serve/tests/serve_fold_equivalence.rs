@@ -13,8 +13,8 @@
 
 use mcc_core::online::{
     brownout_surcharge, finalize_record, run_policy, run_policy_record, stats_from_record,
-    BrownoutWindow, CrashWindow, FaultPlan, FaultTolerant, OnlineDecider, OnlinePolicy,
-    PartitionWindow, Runtime, ServeAction, SpeculativeCaching,
+    BrownoutWindow, CrashWindow, FaultPlan, FaultTolerant, OnlineDecider, PartitionWindow, Runtime,
+    ServeAction, SpeculativeCaching,
 };
 use mcc_model::{CostModel, Instance, Request, ServerId};
 use mcc_serve::engine::ItemReport;

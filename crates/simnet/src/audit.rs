@@ -8,10 +8,9 @@
 //! report the same findings as this replay (`tests/audit_equivalence.rs`,
 //! `tests/fault_properties.rs`).
 //!
-//! The referee in `mcc-model` ([`mcc_model::validate_with`]) is quadratic
-//! in schedule size (`O(|H|·|T|)`). This auditor performs the same checks
-//! with per-server sorted interval indexes and binary-searched transfer
-//! lookups (`O((|H| + |T| + n)·log)`).
+//! Like the referee in `mcc-model` ([`mcc_model::validate_with`]), this
+//! auditor performs its checks with per-server sorted interval indexes
+//! and binary-searched transfer lookups (`O((|H| + |T| + n)·log)`).
 //!
 //! When a [`FaultPlan`] is supplied the replay additionally applies
 //! *reality*: copies die at crash instants, intervals claimed on a down
@@ -34,7 +33,7 @@
 //! *created* at or inside an outage with positive length is fictional.
 
 use mcc_core::online::{FaultPlan, OnlineRun};
-use mcc_model::{Instance, Schedule, ServerId, Violation};
+use mcc_model::{tol_band, Instance, Schedule, ServerId, Violation};
 
 // --- shared fault-waiver helpers ------------------------------------------
 //
@@ -49,21 +48,6 @@ pub(crate) fn eq_tol(tol: f64, a: f64, b: f64) -> bool {
         return true;
     }
     (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
-}
-
-/// Inclusive bounds `[lo, hi]` holding every `b` with `eq_tol(tol, a, b)`.
-/// For a finite `a` and `0 ≤ tol < 1/4`, `|a − b| ≤ tol·max(|a|, |b|, 1)`
-/// implies `|a − b| ≤ tol/(1 − tol)·max(|a|, 1) < 4/3·tol·max(|a|, 1)`;
-/// the band is three times wider than that, which absorbs the rounding of
-/// both the tolerance test and the bounds. Any other input gets the whole
-/// line, so the exact test alone decides.
-fn tol_band(tol: f64, a: f64) -> (f64, f64) {
-    if a.is_finite() && (0.0..0.25).contains(&tol) {
-        let d = 4.0 * tol * a.abs().max(1.0);
-        (a - d, a + d)
-    } else {
-        (f64::NEG_INFINITY, f64::INFINITY)
-    }
 }
 
 /// Whether a cache interval starting at `from` with no incoming transfer

@@ -24,7 +24,10 @@
 //! changes; every cost, ratio and transfer count stays bit-identical.
 //! Fault-injected modes expand a [`FaultSpec`] into a per-seed
 //! [`FaultPlan`] and (for [`RunMode::Faulty`]) wrap the policy in the
-//! fault-tolerant layer.
+//! fault-tolerant layer. Every mode × wrapping pair, and
+//! [`RunRequest::run_seed_with_plan`], measures through one seed body:
+//! it places the plan in the wrapper or in the workspace, then runs,
+//! surcharges, audits and costs the seed the same way.
 //!
 //! The steady-state seed unit ([`RunRequest::run_unit`]) is
 //! allocation-free: policy run, off-line optimum, fault expansion, audit
@@ -179,6 +182,41 @@ impl RunMode {
             RunMode::Faulty(spec) | RunMode::Oblivious(spec) => Some(spec),
         }
     }
+
+    /// The per-seed plan this mode runs under, and whether a tolerant
+    /// policy acts on it.
+    fn seed_plan(&self) -> Option<(PlanSrc<'_>, bool)> {
+        match self {
+            RunMode::Plain => None,
+            RunMode::Faulty(spec) => Some((PlanSrc::Spec(spec), true)),
+            RunMode::Oblivious(spec) => Some((PlanSrc::Spec(spec), false)),
+        }
+    }
+}
+
+/// Where a seed's [`FaultPlan`] comes from.
+#[derive(Copy, Clone)]
+enum PlanSrc<'p> {
+    /// Expanded from the mode's spec for each seed.
+    Spec(&'p FaultSpec),
+    /// Built by the caller ([`RunRequest::run_seed_with_plan`]).
+    Given(&'p FaultPlan),
+}
+
+impl PlanSrc<'_> {
+    /// Writes the plan for `seed` on `inst` into `dst`.
+    fn fill(self, seed: u64, inst: &Instance<f64>, dst: &mut FaultPlan) {
+        match self {
+            PlanSrc::Spec(spec) => spec.plan_for_into(
+                seed,
+                inst.servers(),
+                inst.horizon(),
+                dst,
+                &mut PlanScratch::default(),
+            ),
+            PlanSrc::Given(plan) => dst.copy_from(plan),
+        }
+    }
 }
 
 /// A policy instance shaped for a [`RunMode`]: plain, or behind the
@@ -192,6 +230,40 @@ pub enum RunPolicy {
     Plain(Box<dyn OnlineDecider<f64>>),
     /// Fault cell run behind the fault-tolerant wrapper.
     Tolerant(Box<FaultTolerant<Box<dyn OnlineDecider<f64>>>>),
+}
+
+impl RunPolicy {
+    /// The policy as the decider seam: the wrapper when there is one.
+    pub fn decider(&self) -> &dyn OnlineDecider<f64> {
+        match self {
+            RunPolicy::Plain(p) => p.as_ref(),
+            RunPolicy::Tolerant(w) => w.as_ref(),
+        }
+    }
+
+    /// Mutable access to the decider seam (see [`RunPolicy::decider`]).
+    pub fn decider_mut(&mut self) -> &mut dyn OnlineDecider<f64> {
+        match self {
+            RunPolicy::Plain(p) => p.as_mut(),
+            RunPolicy::Tolerant(w) => w.as_mut(),
+        }
+    }
+
+    /// The fault-tolerant wrapper, if the policy runs behind one.
+    pub fn wrapper_mut(&mut self) -> Option<&mut FaultTolerant<Box<dyn OnlineDecider<f64>>>> {
+        match self {
+            RunPolicy::Plain(_) => None,
+            RunPolicy::Tolerant(w) => Some(w.as_mut()),
+        }
+    }
+
+    /// The plan the wrapper acts on; `None` for a plain policy.
+    pub fn plan(&self) -> Option<&FaultPlan> {
+        match self {
+            RunPolicy::Plain(_) => None,
+            RunPolicy::Tolerant(w) => Some(w.plan()),
+        }
+    }
 }
 
 /// The run pipeline's single front door: one value owns the workspace,
@@ -328,15 +400,8 @@ impl<'s> RunRequest<'s> {
         seed: u64,
         inst: &Instance<f64>,
     ) -> SeedResult {
-        dispatch(
-            self.mode,
-            policy,
-            seed,
-            inst,
-            None,
-            &mut self.ws.run,
-            self.sink,
-        )
+        let plan = self.mode.seed_plan();
+        seed_core(policy, plan, seed, inst, None, &mut self.ws.run, self.sink)
     }
 
     /// One seed measurement against an explicit, caller-built
@@ -352,16 +417,8 @@ impl<'s> RunRequest<'s> {
         inst: &Instance<f64>,
         plan: &FaultPlan,
     ) -> SeedResult {
-        match policy {
-            RunPolicy::Tolerant(w) => {
-                w.set_plan(plan);
-                seed_faulty_body(w, seed, inst, None, &mut self.ws.run, self.sink)
-            }
-            RunPolicy::Plain(p) => {
-                self.ws.run.fault_plan.copy_from(plan);
-                seed_oblivious_body(p.as_mut(), seed, inst, None, &mut self.ws.run, self.sink)
-            }
-        }
+        let plan = Some((PlanSrc::Given(plan), true));
+        seed_core(policy, plan, seed, inst, None, &mut self.ws.run, self.sink)
     }
 
     /// One whole unit — instance generation *and* measurement — in the
@@ -653,43 +710,6 @@ fn policy_for(mode: RunMode, factory: &PolicyFactory) -> RunPolicy {
     }
 }
 
-/// Mode × policy dispatch onto the three seed cores. A policy built by
-/// [`policy_for`] for the same mode always hits one of the first three
-/// arms; the mismatch arms (a policy reused across a mode switch without
-/// rebuilding) run the policy as-is under the requested regime, clearing
-/// a tolerant wrapper's stale plan first so it cannot act on a previous
-/// cell's crashes.
-fn dispatch(
-    mode: RunMode,
-    policy: &mut RunPolicy,
-    seed: u64,
-    inst: &Instance<f64>,
-    opt: Option<f64>,
-    ws: &mut SeedScratch,
-    sink: &dyn Sink,
-) -> SeedResult {
-    match (mode, policy) {
-        (RunMode::Plain, RunPolicy::Plain(p)) => seed_core(p.as_mut(), seed, inst, opt, ws, sink),
-        (RunMode::Faulty(spec), RunPolicy::Tolerant(w)) => {
-            seed_faulty_core(w.as_mut(), &spec, seed, inst, opt, ws, sink)
-        }
-        (RunMode::Oblivious(spec), RunPolicy::Plain(p)) => {
-            seed_oblivious_core(p.as_mut(), &spec, seed, inst, opt, ws, sink)
-        }
-        (RunMode::Plain, RunPolicy::Tolerant(w)) => {
-            *w.plan_mut() = FaultPlan::none();
-            seed_core(w.as_mut(), seed, inst, opt, ws, sink)
-        }
-        (RunMode::Oblivious(spec), RunPolicy::Tolerant(w)) => {
-            *w.plan_mut() = FaultPlan::none();
-            seed_oblivious_core(w.as_mut(), &spec, seed, inst, opt, ws, sink)
-        }
-        (RunMode::Faulty(spec), RunPolicy::Plain(p)) => {
-            seed_oblivious_core(p.as_mut(), &spec, seed, inst, opt, ws, sink)
-        }
-    }
-}
-
 /// The off-line optimum for a seed: the precomputed batch-kernel value
 /// when the caller staged one, otherwise a fresh windowed-sweep solve.
 /// The two are bit-identical (the batched kernel computes the same `C`
@@ -698,12 +718,12 @@ fn dispatch(
 fn opt_cost_for(
     inst: &Instance<f64>,
     precomputed: Option<f64>,
-    ws: &mut SeedScratch,
+    solver: &mut SolverWorkspace<f64>,
     sink: &dyn Sink,
 ) -> f64 {
     match precomputed {
         Some(opt) => opt,
-        None => solve_naive_in(inst, &mut ws.solver, sink).optimal_cost(),
+        None => solve_naive_in(inst, solver, sink).optimal_cost(),
     }
 }
 
@@ -720,7 +740,15 @@ fn unit_core(
 ) -> SeedResult {
     let t0 = sink.enabled().then(std::time::Instant::now);
     let inst = workload.generate_into(seed, &mut ws.gen);
-    let result = dispatch(mode, policy, seed, inst, None, &mut ws.run, sink);
+    let result = seed_core(
+        policy,
+        mode.seed_plan(),
+        seed,
+        inst,
+        None,
+        &mut ws.run,
+        sink,
+    );
     if let Some(t0) = t0 {
         sink.observe(
             Hist::UnitNanos,
@@ -770,7 +798,8 @@ fn units_batch_core<Src: UnitSource + ?Sized>(
             let t0 = sink.enabled().then(std::time::Instant::now);
             let opt = ws.batch.optimal_cost(j);
             let inst = ws.batch_gen[j].instance();
-            let result = dispatch(mode, policy, seed, inst, Some(opt), &mut ws.run, sink);
+            let plan = mode.seed_plan();
+            let result = seed_core(policy, plan, seed, inst, Some(opt), &mut ws.run, sink);
             if let Some(t0) = t0 {
                 sink.observe(
                     Hist::UnitNanos,
@@ -799,97 +828,81 @@ fn cell_core(
         .collect()
 }
 
+/// One seed measurement, for every mode × wrapping: place the plan, run
+/// the policy, then charge the brownout surcharge against the finished
+/// record geometry, audit against the surcharged cost, and fold every
+/// wrapper surcharge (retries, replays, reseeds) into `online_cost` so
+/// the ratio prices the whole degradation.
+///
+/// The plan goes into a tolerant policy's wrapper when the wrapper is to
+/// act on it, and otherwise into the workspace, where only the brownout
+/// surcharge (degraded bandwidth taxes the run whether or not the policy
+/// knows) and the audit see it. A wrapper run without its plan has its
+/// stale one cleared first, so it cannot act on an earlier cell's
+/// crashes.
 fn seed_core(
-    policy: &mut dyn OnlineDecider<f64>,
+    policy: &mut RunPolicy,
+    plan: Option<(PlanSrc<'_>, bool)>,
     seed: u64,
     inst: &Instance<f64>,
     precomputed_opt: Option<f64>,
     ws: &mut SeedScratch,
     sink: &dyn Sink,
 ) -> SeedResult {
-    let (stats, rec) = run_policy_record(policy, inst, &mut ws.rt);
+    // `Some(true)`: the plan sits in the wrapper; `Some(false)`: in the
+    // workspace; `None`: there is none.
+    let tolerant = plan.map(|(src, wrapped)| match policy.wrapper_mut() {
+        Some(w) if wrapped => {
+            src.fill(seed, inst, w.plan_mut());
+            true
+        }
+        _ => {
+            src.fill(seed, inst, &mut ws.fault_plan);
+            false
+        }
+    });
+    if tolerant != Some(true) {
+        if let Some(w) = policy.wrapper_mut() {
+            *w.plan_mut() = FaultPlan::none();
+        }
+    }
+    let (stats, rec) = run_policy_record(policy.decider_mut(), inst, &mut ws.rt);
+    let plan = match tolerant {
+        None => None,
+        Some(true) => policy.plan(),
+        Some(false) => Some(&ws.fault_plan),
+    };
+    let sur = plan.map(|plan| brownout_surcharge(plan, rec, inst.cost()));
     let findings = audit_findings(
         inst,
         rec,
-        stats.total_cost,
+        sur.map_or(stats.total_cost, |sur| stats.total_cost + sur),
         stats.transfers,
-        None,
+        plan,
         &mut ws.audit,
         ws.audit_on,
     );
     let breakdown = Breakdown::from_record(rec, inst.cost());
-    let opt = opt_cost_for(inst, precomputed_opt, ws, sink);
-    let result = SeedResult {
-        seed,
-        online_cost: stats.total_cost,
-        opt_cost: opt,
-        ratio: if opt > 0.0 {
-            stats.total_cost / opt
-        } else {
-            1.0
+    let mut fault = plan.zip(sur).map(|(plan, sur)| FaultOutcome {
+        stats: FaultStats {
+            brownout_cost: sur,
+            ..FaultStats::default()
         },
-        breakdown,
-        transfers: stats.transfers,
-        audit_findings: findings,
-        fault: None,
-    };
-    record_seed(sink, inst.n(), &result);
-    result
-}
-
-fn seed_faulty_core<P: OnlineDecider<f64>>(
-    wrapped: &mut FaultTolerant<P>,
-    spec: &FaultSpec,
-    seed: u64,
-    inst: &Instance<f64>,
-    precomputed_opt: Option<f64>,
-    ws: &mut SeedScratch,
-    sink: &dyn Sink,
-) -> SeedResult {
-    spec.plan_for_into(
-        seed,
-        inst.servers(),
-        inst.horizon(),
-        wrapped.plan_mut(),
-        &mut PlanScratch::default(),
-    );
-    seed_faulty_body(wrapped, seed, inst, precomputed_opt, ws, sink)
-}
-
-/// The wrapped measurement once the plan sits in the wrapper: run, charge
-/// the brownout surcharge against the finished record geometry, audit
-/// against the surcharged cost, and fold every wrapper surcharge
-/// (retries, replays, reseeds, brownouts) into `online_cost` so the ratio
-/// prices the whole degradation.
-fn seed_faulty_body<P: OnlineDecider<f64>>(
-    wrapped: &mut FaultTolerant<P>,
-    seed: u64,
-    inst: &Instance<f64>,
-    precomputed_opt: Option<f64>,
-    ws: &mut SeedScratch,
-    sink: &dyn Sink,
-) -> SeedResult {
-    let crashes = wrapped.plan().crashes().len();
-    let bursts = wrapped.plan().bursts() as usize;
-    let partitions = wrapped.plan().partitions().len();
-    let brownouts = wrapped.plan().brownouts().len();
-    let (stats, rec) = run_policy_record(wrapped, inst, &mut ws.rt);
-    let sur = brownout_surcharge(wrapped.plan(), rec, inst.cost());
-    wrapped.stats_mut().brownout_cost = sur;
-    let fstats = wrapped.stats().clone();
-    let findings = audit_findings(
-        inst,
-        rec,
-        stats.total_cost + sur,
-        stats.transfers,
-        Some(wrapped.plan()),
-        &mut ws.audit,
-        ws.audit_on,
-    );
-    let breakdown = Breakdown::from_record(rec, inst.cost());
-    let opt = opt_cost_for(inst, precomputed_opt, ws, sink);
-    let online_cost =
-        stats.total_cost + sur + fstats.retry_cost + fstats.replay_cost + fstats.reseed_cost;
+        crashes: plan.crashes().len(),
+        bursts: plan.bursts() as usize,
+        partitions: plan.partitions().len(),
+        brownouts: plan.brownouts().len(),
+        tolerant: tolerant == Some(true),
+    });
+    let wrapped = fault.as_mut().filter(|fo| fo.tolerant);
+    if let (Some(fo), Some(w)) = (wrapped, policy.wrapper_mut()) {
+        w.stats_mut().brownout_cost = fo.stats.brownout_cost;
+        fo.stats = w.stats().clone();
+    }
+    let online_cost = fault.as_ref().map_or(stats.total_cost, |fo| {
+        fo.stats.online_cost(stats.total_cost)
+    });
+    let opt = opt_cost_for(inst, precomputed_opt, &mut ws.solver, sink);
     let result = SeedResult {
         seed,
         online_cost,
@@ -898,88 +911,7 @@ fn seed_faulty_body<P: OnlineDecider<f64>>(
         breakdown,
         transfers: stats.transfers,
         audit_findings: findings,
-        fault: Some(FaultOutcome {
-            stats: fstats,
-            crashes,
-            bursts,
-            partitions,
-            brownouts,
-            tolerant: true,
-        }),
-    };
-    record_seed(sink, inst.n(), &result);
-    result
-}
-
-fn seed_oblivious_core(
-    policy: &mut dyn OnlineDecider<f64>,
-    spec: &FaultSpec,
-    seed: u64,
-    inst: &Instance<f64>,
-    precomputed_opt: Option<f64>,
-    ws: &mut SeedScratch,
-    sink: &dyn Sink,
-) -> SeedResult {
-    spec.plan_for_into(
-        seed,
-        inst.servers(),
-        inst.horizon(),
-        &mut ws.fault_plan,
-        &mut PlanScratch::default(),
-    );
-    seed_oblivious_body(policy, seed, inst, precomputed_opt, ws, sink)
-}
-
-/// The oblivious measurement once the plan sits in `ws.fault_plan`. The
-/// brownout surcharge still applies — degraded bandwidth taxes the run
-/// whether or not the policy knows about it — so both the audited and the
-/// reported cost carry it.
-fn seed_oblivious_body(
-    policy: &mut dyn OnlineDecider<f64>,
-    seed: u64,
-    inst: &Instance<f64>,
-    precomputed_opt: Option<f64>,
-    ws: &mut SeedScratch,
-    sink: &dyn Sink,
-) -> SeedResult {
-    let crashes = ws.fault_plan.crashes().len();
-    let bursts = ws.fault_plan.bursts() as usize;
-    let partitions = ws.fault_plan.partitions().len();
-    let brownouts = ws.fault_plan.brownouts().len();
-    let (stats, rec) = run_policy_record(policy, inst, &mut ws.rt);
-    let sur = brownout_surcharge(&ws.fault_plan, rec, inst.cost());
-    let online_cost = stats.total_cost + sur;
-    let findings = audit_findings(
-        inst,
-        rec,
-        online_cost,
-        stats.transfers,
-        Some(&ws.fault_plan),
-        &mut ws.audit,
-        ws.audit_on,
-    );
-    let breakdown = Breakdown::from_record(rec, inst.cost());
-    let opt = opt_cost_for(inst, precomputed_opt, ws, sink);
-    let fstats = FaultStats {
-        brownout_cost: sur,
-        ..FaultStats::default()
-    };
-    let result = SeedResult {
-        seed,
-        online_cost,
-        opt_cost: opt,
-        ratio: if opt > 0.0 { online_cost / opt } else { 1.0 },
-        breakdown,
-        transfers: stats.transfers,
-        audit_findings: findings,
-        fault: Some(FaultOutcome {
-            stats: fstats,
-            crashes,
-            bursts,
-            partitions,
-            brownouts,
-            tolerant: false,
-        }),
+        fault,
     };
     record_seed(sink, inst.n(), &result);
     result
@@ -1258,5 +1190,43 @@ mod tests {
         assert_eq!(b.audit_findings, 0);
         let clean = RunRequest::new(RunMode::Plain).run_cell(&f, &w, 0..1);
         assert_eq!(b.online_cost, clean[0].online_cost);
+    }
+
+    #[test]
+    fn oblivious_mode_with_tolerant_policy_runs_as_the_plain_policy() {
+        // Oblivious mode + tolerant policy: the wrapper's plan is cleared,
+        // so the run must be the plain policy's oblivious run to the bit —
+        // same cost, findings and brownout surcharge, reported untolerant.
+        let w = PoissonWorkload::uniform(CommonParams::small().with_size(4, 60), 1.0);
+        let f = factory(SpeculativeCaching::paper());
+        let spec = FaultSpec {
+            seed: 11,
+            crash_rate: 0.3,
+            mean_downtime: 1.5,
+            brownout_rate: 0.5,
+            brownout_mean: 2.0,
+            brownout_factor: 3.0,
+            ..FaultSpec::default()
+        };
+        let mut tolerant_policy = RunRequest::new(RunMode::Faulty(spec)).policy(&f);
+        let mut req = RunRequest::new(RunMode::Oblivious(spec));
+        let mut plain_policy = req.policy(&f);
+        let (mut findings, mut brownout) = (0, 0.0);
+        for seed in 0..6 {
+            let x = req.run_unit(&mut tolerant_policy, &w, seed);
+            let y = req.run_unit(&mut plain_policy, &w, seed);
+            let (fx, fy) = (x.fault.unwrap(), y.fault.unwrap());
+            assert!(!fx.tolerant && !fy.tolerant);
+            assert_eq!(x.online_cost.to_bits(), y.online_cost.to_bits());
+            assert_eq!(x.audit_findings, y.audit_findings);
+            assert_eq!(
+                fx.stats.brownout_cost.to_bits(),
+                fy.stats.brownout_cost.to_bits()
+            );
+            findings += y.audit_findings;
+            brownout += fy.stats.brownout_cost;
+        }
+        assert!(findings > 0, "the plan must trip the oblivious audit");
+        assert!(brownout > 0.0, "the plan must charge brownouts");
     }
 }

@@ -73,8 +73,8 @@ pub use mcc_workloads as workloads;
 pub mod prelude {
     pub use mcc_core::offline::{optimal_cost, optimal_schedule, solve_fast, DpSolution};
     pub use mcc_core::online::{
-        analyze, double_transfer, run_policy, DeciderStats, Decision, Follow, KeepEverywhere,
-        OnlineDecider, OnlinePolicy, OnlineRun, SpeculativeCaching, StayAtOrigin,
+        analyze, double_transfer, run_policy, Decision, Follow, KeepEverywhere, OnlineDecider,
+        OnlineRun, SpeculativeCaching, StayAtOrigin,
     };
     pub use mcc_fleet::{run_fleet, EvictionPolicy, FleetSpec, FleetSummary, FleetWorkspace};
     pub use mcc_model::{
