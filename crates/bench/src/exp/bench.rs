@@ -547,6 +547,16 @@ fn run_pass(f: &PolicyFactory, w: &dyn Workload, seeds: u64, req: &mut RunReques
     }
 }
 
+/// Shape of the metrics-overhead gate's pair: the `sweep_chaos` unit
+/// (m = 16, n = 2,000), two seeds per cell. At the quick shape a pass
+/// lasts microseconds, and timer noise spread the per-pair ratios over
+/// 0.94–1.03 around the 0.97 floor.
+const METRICS_SCALE: Scale = Scale {
+    seeds: 2,
+    requests: 2_000,
+    servers: 16,
+};
+
 /// Requests per trace of the SC replay gate and full-scale rows.
 const SC_REQUESTS: usize = 100_000;
 /// Requests per trace of the quick SC replay rows.
@@ -597,6 +607,7 @@ fn sweep_readings() -> Vec<Reading> {
     let quick = Scale::quick();
     let w = poisson(quick.servers, quick.requests);
     let mut req = RunRequest::new(RunMode::Plain);
+    let metrics_w = poisson(METRICS_SCALE.servers, METRICS_SCALE.requests);
     let reg = Registry::new();
     let mut off = RunRequest::new(RunMode::Plain);
     let mut on = RunRequest::new(RunMode::Plain).with_sink(&reg);
@@ -614,8 +625,8 @@ fn sweep_readings() -> Vec<Reading> {
             name: "metrics_on_vs_off",
             limit: Limit::Min(0.97),
             pair: Box::new(pair(
-                || run_pass(&f, &w, quick.seeds, &mut off),
-                || run_pass(&f, &w, quick.seeds, &mut on),
+                || run_pass(&f, &metrics_w, METRICS_SCALE.seeds, &mut off),
+                || run_pass(&f, &metrics_w, METRICS_SCALE.seeds, &mut on),
             )),
         },
         // SC's per-request cost must follow the live copies, not `m`.

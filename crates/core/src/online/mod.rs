@@ -36,4 +36,6 @@ pub use fault::{
 };
 pub use reduction::{analyze, ReductionReport};
 pub use sc::SpeculativeCaching;
-pub use tracker::{CopyOps, CopyRecord, RecordFold, RunRecord, Runtime, TransferRecord};
+pub use tracker::{
+    sort_tie_runs, CopyOps, CopyRecord, RecordFold, RunRecord, Runtime, TransferRecord,
+};

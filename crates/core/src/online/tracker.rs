@@ -8,6 +8,26 @@
 //! matters: a speculatively kept copy dies `Δt` after its last touch, and
 //! that tail `ω = μ·(to − last_touch)` is exactly the quantity the paper's
 //! Double-Transfer transformation reassigns onto transfer edges.
+//!
+//! # Record order
+//!
+//! Every cost fold sums the copy records in one canonical order,
+//! `(from, server, to, last_touch)`, so a run summed from a full record,
+//! folded as it settles, or audited gives the same bits. The runtime
+//! keeps its records close to that order as it goes: a copy's record is
+//! pushed when the copy opens, and copies only open at or after the
+//! clock, so the records are always in `from` order. What is left is the
+//! order inside runs of copies opened at the same instant (same-instant
+//! evacuations, reseeds, zero-length copies), which [`sort_tie_runs`]
+//! settles in one pass.
+//!
+//! - [`Runtime::finalize`] closes the open copies in their slots and
+//!   orders the tie runs: the record is then canonical.
+//! - [`Runtime::settle`] folds the closed prefix that no open or later
+//!   copy can sort before, orders its tie runs first, and drops it.
+//! - [`Runtime::live_copies`] is a counter, not a scan.
+
+use std::cmp::Ordering;
 
 use mcc_model::{CacheInterval, Scalar, Schedule, ServerId, Transfer};
 
@@ -43,13 +63,6 @@ pub struct TransferRecord<S> {
     pub at: S,
     /// Zero-based epoch index (only Speculative Caching advances it).
     pub epoch: u32,
-}
-
-/// Live-copy state while a policy is running.
-#[derive(Copy, Clone, Debug)]
-struct OpenCopy<S> {
-    from: S,
-    last_touch: S,
 }
 
 /// The copy-manipulation surface an online policy programs against.
@@ -122,7 +135,7 @@ impl<S: Scalar> CopyOps<S> for Runtime<S> {
 }
 
 /// A consumer of settled records, fed by [`Runtime::settle`]: copies in
-/// the canonical order [`Runtime::finalize`] sorts into, transfers in
+/// the canonical order [`Runtime::finalize`] leaves them in, transfers in
 /// push order.
 pub trait RecordFold<S> {
     /// Folds one copy lifetime that no later event can reorder.
@@ -131,19 +144,52 @@ pub trait RecordFold<S> {
     fn transfer(&mut self, transfer: &TransferRecord<S>);
 }
 
-/// The canonical record order: `(from, server, to, last_touch)`.
-fn canonical<S: Scalar>(a: &CopyRecord<S>, b: &CopyRecord<S>) -> std::cmp::Ordering {
-    a.from
-        .partial_cmp(&b.from)
-        .expect("no NaN times")
-        .then(a.server.cmp(&b.server))
-        .then(a.to.partial_cmp(&b.to).expect("no NaN times"))
-        .then(
-            a.last_touch
-                .partial_cmp(&b.last_touch)
-                .expect("no NaN times"),
-        )
+/// Sorts each run of adjacent elements that `same` groups together by
+/// `cmp`, leaving the runs where they are. On a slice already ordered by
+/// the key `same` compares, that is the whole sort by the key and then
+/// `cmp`, at one comparison per element plus the cost of the ties.
+///
+/// Unstable within a run, so it allocates nothing; callers break ties on
+/// every field, which keeps it deterministic.
+pub fn sort_tie_runs<T>(
+    v: &mut [T],
+    same: impl Fn(&T, &T) -> bool,
+    mut cmp: impl FnMut(&T, &T) -> Ordering,
+) {
+    let mut i = 0;
+    while i < v.len() {
+        let mut j = i + 1;
+        while j < v.len() && same(&v[i], &v[j]) {
+            j += 1;
+        }
+        if j - i > 1 {
+            v[i..j].sort_unstable_by(&mut cmp);
+        }
+        i = j;
+    }
 }
+
+/// Puts records that are already in `from` order into the canonical
+/// `(from, server, to, last_touch)` order.
+fn order_ties<S: Scalar>(records: &mut [CopyRecord<S>]) {
+    sort_tie_runs(
+        records,
+        |a, b| a.from == b.from,
+        |a, b| {
+            a.server
+                .cmp(&b.server)
+                .then(a.to.partial_cmp(&b.to).expect("no NaN times"))
+                .then(
+                    a.last_touch
+                        .partial_cmp(&b.last_touch)
+                        .expect("no NaN times"),
+                )
+        },
+    );
+}
+
+/// No open copy on a server (see [`Runtime`]'s `slot`).
+const NO_SLOT: usize = usize::MAX;
 
 /// Copy-lifecycle bookkeeping for one online run.
 ///
@@ -152,20 +198,29 @@ fn canonical<S: Scalar>(a: &CopyRecord<S>, b: &CopyRecord<S>) -> std::cmp::Order
 /// capacity, so the steady state of a sweep performs no heap allocation
 /// per run.
 ///
+/// Every copy gets its record when it opens: the record is pushed then,
+/// and [`Runtime::touch`] and [`Runtime::close`] write into it through the
+/// server's slot. Copies open at or after the clock, so the records sit in
+/// `from` order from the start, and only runs of records opened at the
+/// same instant ever need ordering.
+///
 /// By default the runtime keeps the whole [`RunRecord`] until
 /// [`Runtime::finalize`], which is what batch replay, the audit and the
 /// fleet harvest read. A long-lived consumer (the serve daemon) calls
 /// [`Runtime::settle`] instead to fold and drop each record once its
 /// place in the canonical order is fixed, so the runtime holds only the
-/// open copies and the few closed records that an open copy could still
-/// sort after.
+/// records from its earliest open copy (or its clock) on.
 #[derive(Clone, Debug)]
 pub struct Runtime<S> {
-    open: Vec<Option<OpenCopy<S>>>,
+    /// Per server: the absolute index (counting drained records) of its
+    /// open copy's record, or [`NO_SLOT`].
+    slot: Vec<usize>,
+    /// Number of open copies.
+    live: usize,
     rec: RunRecord<S>,
-    /// `rec.records[..sorted]` is in canonical order (the pending run of
-    /// [`Runtime::settle`]); records past it closed since the last call.
-    sorted: usize,
+    /// Records [`Runtime::settle`] has folded and dropped: `rec.records[i]`
+    /// has absolute index `drained + i`.
+    drained: usize,
     epoch: u32,
     now: S,
 }
@@ -174,58 +229,79 @@ impl<S: Scalar> Runtime<S> {
     /// Creates a runtime for `servers` servers with the initial copy opened
     /// on the origin at time 0.
     pub fn new(servers: usize) -> Self {
-        let mut open = vec![None; servers];
-        open[ServerId::ORIGIN.index()] = Some(OpenCopy {
-            from: S::ZERO,
-            last_touch: S::ZERO,
-        });
-        Runtime {
-            open,
+        let mut rt = Runtime {
+            slot: Vec::new(),
+            live: 0,
             rec: RunRecord::default(),
-            sorted: 0,
+            drained: 0,
             epoch: 0,
             now: S::ZERO,
-        }
+        };
+        rt.reset(servers);
+        rt
     }
 
     /// Rewinds to the initial state for `servers` servers (origin copy open
-    /// at 0, no records). Buffer capacities survive, so resetting a warm
-    /// runtime allocates only if `servers` grew past the previous cluster
-    /// size.
+    /// at 0, no other records). Buffer capacities survive, so resetting a
+    /// warm runtime allocates only if `servers` grew past the previous
+    /// cluster size.
     pub fn reset(&mut self, servers: usize) {
-        self.open.clear();
-        self.open.resize(servers, None);
-        self.open[ServerId::ORIGIN.index()] = Some(OpenCopy {
-            from: S::ZERO,
-            last_touch: S::ZERO,
-        });
+        self.slot.clear();
+        self.slot.resize(servers, NO_SLOT);
+        self.live = 0;
         self.rec.records.clear();
         self.rec.transfers.clear();
         self.rec.epoch_boundaries.clear();
-        self.sorted = 0;
+        self.drained = 0;
         self.epoch = 0;
         self.now = S::ZERO;
+        self.open(ServerId::ORIGIN, S::ZERO);
     }
 
     /// Number of servers.
     pub fn servers(&self) -> usize {
-        self.open.len()
+        self.slot.len()
     }
 
     /// Whether `server` currently holds a live copy.
     #[inline]
     pub fn is_open(&self, server: ServerId) -> bool {
-        self.open[server.index()].is_some()
+        self.slot[server.index()] != NO_SLOT
     }
 
     /// Number of live copies.
+    #[inline]
     pub fn live_copies(&self) -> usize {
-        self.open.iter().filter(|c| c.is_some()).count()
+        self.live
     }
 
     /// Last useful touch of the live copy on `server`.
     pub fn last_touch(&self, server: ServerId) -> Option<S> {
-        self.open[server.index()].map(|c| c.last_touch)
+        match self.slot[server.index()] {
+            NO_SLOT => None,
+            at => Some(self.rec.records[at - self.drained].last_touch),
+        }
+    }
+
+    /// The record of the live copy on `server`.
+    fn open_record(&mut self, server: ServerId, op: &str) -> &mut CopyRecord<S> {
+        match self.slot[server.index()] {
+            NO_SLOT => panic!("{op} on {server} with no live copy"),
+            at => &mut self.rec.records[at - self.drained],
+        }
+    }
+
+    /// Opens a copy on `server` at `t`: pushes its record and points the
+    /// server's slot at it.
+    fn open(&mut self, server: ServerId, t: S) {
+        self.slot[server.index()] = self.drained + self.rec.records.len();
+        self.live += 1;
+        self.rec.records.push(CopyRecord {
+            server,
+            from: t,
+            last_touch: t,
+            to: t,
+        });
     }
 
     /// Marks the live copy on `server` as used at time `t` (serving a local
@@ -237,9 +313,7 @@ impl<S: Scalar> Runtime<S> {
     pub fn touch(&mut self, server: ServerId, t: S) {
         assert!(t >= self.now, "touch at t={t} before now={}", self.now);
         self.now = t;
-        let copy = self.open[server.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("touch on {server} with no live copy"));
+        let copy = self.open_record(server, "touch");
         debug_assert!(copy.last_touch <= t);
         copy.last_touch = t;
     }
@@ -254,10 +328,7 @@ impl<S: Scalar> Runtime<S> {
             "transfer to {dst} which already holds a copy"
         );
         self.touch(src, t);
-        self.open[dst.index()] = Some(OpenCopy {
-            from: t,
-            last_touch: t,
-        });
+        self.open(dst, t);
         self.rec.transfers.push(TransferRecord {
             src,
             dst,
@@ -275,29 +346,21 @@ impl<S: Scalar> Runtime<S> {
         );
         assert!(t >= self.now, "reseed at t={t} before now={}", self.now);
         self.now = t;
-        self.open[server.index()] = Some(OpenCopy {
-            from: t,
-            last_touch: t,
-        });
+        self.open(server, t);
     }
 
     /// Closes the copy on `server` at time `t ≥ last_touch` (the gap is the
     /// speculative tail).
     pub fn close(&mut self, server: ServerId, t: S) {
-        let copy = self.open[server.index()]
-            .take()
-            .unwrap_or_else(|| panic!("close on {server} with no live copy"));
+        let copy = self.open_record(server, "close");
         assert!(
             t >= copy.last_touch,
             "close at t={t} before last touch {} on {server}",
             copy.last_touch
         );
-        self.rec.records.push(CopyRecord {
-            server,
-            from: copy.from,
-            last_touch: copy.last_touch,
-            to: t,
-        });
+        copy.to = t;
+        self.slot[server.index()] = NO_SLOT;
+        self.live -= 1;
     }
 
     /// Starts a new epoch at time `t` (Speculative Caching resets after a
@@ -320,67 +383,64 @@ impl<S: Scalar> Runtime<S> {
     /// both `now` and the `from` of every open copy: every later copy
     /// opens at or after `now` (`touch`, `transfer` and `reseed` assert
     /// it), and the open copies are the only other records that could
-    /// still sort before it. Settled records therefore form a prefix of
-    /// the order [`Runtime::finalize`] sorts into, so folding them now
-    /// and the rest at finalization sums in exactly the order a full
-    /// record would.
+    /// still sort before it. The records are in `from` order, so the
+    /// settled ones are the prefix before the first record that is open
+    /// or opened at or after `now`, less the records opened at that
+    /// record's instant. They are folded after their ties are ordered,
+    /// which makes them a prefix of the order [`Runtime::finalize`] leaves
+    /// the rest in, so folding them now and the rest at finalization sums
+    /// in exactly the order a full record would.
     ///
-    /// Records closed since the last call are binary-inserted into the
-    /// sorted pending run, never re-sorted. The bound costs one comparison
-    /// when the run's first record opened at or after `now`, and one pass
-    /// over the open copies otherwise.
+    /// The scan stops at the first open record, so it costs one step per
+    /// settled record plus the few records tied with where it stops.
     pub fn settle(&mut self, fold: &mut impl RecordFold<S>) {
-        let records = &mut self.rec.records;
-        for i in self.sorted..records.len() {
-            let r = records[i];
-            let at = records[..i].partition_point(|p| canonical(p, &r).is_le());
-            records[at..=i].rotate_right(1);
-        }
-        self.sorted = records.len();
         for t in &self.rec.transfers {
             fold.transfer(t);
         }
         self.rec.transfers.clear();
         self.rec.epoch_boundaries.clear();
-        match records.first() {
-            Some(first) if first.from < self.now => {}
-            _ => return,
-        }
-        let mut bound = self.now;
-        for copy in self.open.iter().flatten() {
-            if copy.from < bound {
-                bound = copy.from;
-            }
-        }
-        let settled = records.partition_point(|r| r.from < bound);
+        let records = &mut self.rec.records;
+        let stop = records
+            .iter()
+            .enumerate()
+            .position(|(i, r)| {
+                !(r.from < self.now) || self.slot[r.server.index()] == self.drained + i
+            })
+            .unwrap_or(records.len());
+        let settled = match records.get(stop) {
+            Some(r) => records[..stop].partition_point(|p| p.from < r.from),
+            None => stop,
+        };
+        order_ties(&mut records[..settled]);
         for r in &records[..settled] {
             fold.copy(r);
         }
         records.drain(..settled);
-        self.sorted -= settled;
+        self.drained += settled;
     }
 
     /// Finalizes the run in place: every still-open copy is closed at
-    /// `close_at(server)` and the records are brought into their canonical
-    /// `(from, server, to, last_touch)` order. Borrows the run record out
-    /// of the runtime — call [`Runtime::reset`] before driving the next
-    /// run. After [`Runtime::settle`] the record holds only what was not
-    /// settled yet: the tail of the canonical order and the transfers
-    /// since the last call.
+    /// `close_at(server)` (servers in index order) and the records are
+    /// brought into their canonical `(from, server, to, last_touch)`
+    /// order. Borrows the run record out of the runtime — call
+    /// [`Runtime::reset`] before driving the next run. After
+    /// [`Runtime::settle`] the record holds only what was not settled
+    /// yet: the tail of the canonical order and the transfers since the
+    /// last call.
     ///
-    /// Sorting is unstable on the full record key, so it is deterministic
-    /// (ties can only be bitwise-identical records) and allocation-free —
-    /// unlike a stable sort, which buys its stability with a merge buffer.
+    /// The records are already in `from` order, so only runs opened at
+    /// one instant are sorted, unstably on the rest of the key: that is
+    /// deterministic (ties can only be bitwise-identical records) and
+    /// allocation-free.
     pub fn finalize(&mut self, mut close_at: impl FnMut(ServerId, S) -> S) -> &RunRecord<S> {
-        for idx in 0..self.open.len() {
-            if let Some(copy) = self.open[idx] {
-                let server = ServerId::from_index(idx);
-                let t = close_at(server, copy.last_touch);
-                self.close(server, t.max2(copy.last_touch));
+        for idx in 0..self.slot.len() {
+            let server = ServerId::from_index(idx);
+            if let Some(last) = self.last_touch(server) {
+                let t = close_at(server, last);
+                self.close(server, t.max2(last));
             }
         }
-        self.rec.records.sort_unstable_by(canonical);
-        self.sorted = self.rec.records.len();
+        order_ties(&mut self.rec.records);
         &self.rec
     }
 
@@ -394,6 +454,13 @@ impl<S: Scalar> Runtime<S> {
     /// The record as it stands: complete between [`Runtime::finalize`] and
     /// the next [`Runtime::reset`], which is when the fleet layer harvests
     /// the finished run's residency intervals without copying them.
+    ///
+    /// Mid-run it holds every copy opened since the last
+    /// [`Runtime::settle`] (all of them without one) in opening order,
+    /// open copies included: an open copy's record carries its `from` and
+    /// its latest `last_touch`, with `to` still equal to `from` until it
+    /// closes. Records opened at one instant are put in canonical order
+    /// only when they settle or the run is finalized.
     pub fn record(&self) -> &RunRecord<S> {
         &self.rec
     }

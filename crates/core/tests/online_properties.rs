@@ -530,8 +530,9 @@ fn fault_parts() -> impl Strategy<Value = FaultParts> {
 
 /// Drives `new` and `old` through `script` in lockstep, each on a runtime
 /// of its own, and fails at the first divergence: in a decision, the next
-/// expiry deadline, the copy records closed so far (in close order, so
-/// every expiration is compared), the transfers, the epoch boundaries, or
+/// expiry deadline, the copy records so far (in opening order, each open
+/// copy's with its last touch, each closed one's with its close, so every
+/// expiration is compared), the transfers, the epoch boundaries, or
 /// whatever `same` compares; and finally in the finalized record.
 fn lockstep<S, A, B>(
     new: &mut A,

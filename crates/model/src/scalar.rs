@@ -88,8 +88,10 @@ pub trait Scalar:
         }
     }
 
-    /// Approximate equality with an absolute-or-relative tolerance; exact
-    /// types may ignore `tol`.
+    /// Approximate equality with an absolute-or-relative tolerance:
+    /// `|a − b| ≤ tol·max(|a|, |b|, 1)`, where a non-finite operand equals
+    /// only itself. Exact types may ignore `tol`. Every time comparison in
+    /// the workspace (the referee, both auditors) uses this one rule.
     fn approx_eq(self, other: Self, tol: f64) -> bool;
 }
 
@@ -127,6 +129,10 @@ impl Scalar for f64 {
         if self == other {
             return true; // covers both infinite
         }
+        if !(self.is_finite() && other.is_finite()) {
+            // `tol·∞` would accept any finite time as equal to ±∞.
+            return false;
+        }
         let diff = (self - other).abs();
         let scale = self.abs().max(other.abs()).max(1.0);
         diff <= tol * scale
@@ -140,9 +146,8 @@ impl Scalar for f64 {
 /// `|a − b| ≤ tol/(1 − tol)·max(|a|, 1) < 4/3·tol·max(|a|, 1)`; the band
 /// is three times wider than that, which absorbs the rounding of both the
 /// tolerance test and the bounds. Any other input gets the whole line, so
-/// the exact test alone decides. A finite `a` still matches an infinite
-/// `b` at any `tol > 0`, which no finite band holds: callers search only
-/// lists of finite times.
+/// the exact test alone decides. A finite `a` never matches a non-finite
+/// `b`, so the band misses no match even in lists holding infinities.
 #[inline]
 pub fn tol_band(tol: f64, a: f64) -> (f64, f64) {
     if a.is_finite() && (0.0..0.25).contains(&tol) {
@@ -302,6 +307,18 @@ mod tests {
         assert!(1.0e9.approx_eq(1.0e9 + 1.0, 1e-6));
         assert!(!1.0.approx_eq(1.001, 1e-6));
         assert!(f64::INFINITY.approx_eq(f64::INFINITY, 1e-9));
+    }
+
+    #[test]
+    fn f64_non_finite_equals_only_itself() {
+        for tol in [1e-9, 0.3, 1.0] {
+            assert!(!2.0.approx_eq(f64::INFINITY, tol));
+            assert!(!f64::INFINITY.approx_eq(2.0, tol));
+            assert!(!f64::NEG_INFINITY.approx_eq(-1e300, tol));
+            assert!(!f64::INFINITY.approx_eq(f64::NEG_INFINITY, tol));
+            assert!(!f64::NAN.approx_eq(f64::NAN, tol));
+            assert!(f64::NEG_INFINITY.approx_eq(f64::NEG_INFINITY, tol));
+        }
     }
 
     #[test]

@@ -64,9 +64,9 @@ pub fn validate<S: Scalar>(
 /// plus a scan of the entries within tolerance of the instant asked
 /// about. The band is [`tol_band`], which holds every time `approx_eq`
 /// can accept for `0 ≤ tol < 1/4`; the exact test still decides inside
-/// it. With a tolerance outside that range, or a schedule time that is
-/// not finite, the tolerance scans cover the server's whole list instead.
-/// Checks and violations come in the same order either way.
+/// it. With a tolerance outside that range, or a non-finite instant, the
+/// tolerance scans cover the server's whole list instead. Checks and
+/// violations come in the same order either way.
 pub fn validate_with<S: Scalar>(
     inst: &Instance<S>,
     sched: &Schedule<S>,
@@ -111,14 +111,6 @@ pub fn validate_with<S: Scalar>(
     }
 
     // --- indexes -------------------------------------------------------
-    // A finite instant still matches an infinite time at any `tol > 0`,
-    // which no band holds, so the band search (`near`) needs every
-    // schedule time finite; otherwise it hands back whole lists.
-    let finite = sched
-        .caches
-        .iter()
-        .all(|h| h.from.is_finite() && h.to.is_finite())
-        && sched.transfers.iter().all(|tr| tr.at.is_finite());
     // `reach[k]`: the latest end among `by_server[..=k]` on that server,
     // `None` until one is comparable: past the malformed check, `to >= from`
     // fails only for a NaN, and a NaN end holds no instant. For the
@@ -147,9 +139,7 @@ pub fn validate_with<S: Scalar>(
     };
     let arrives = |server: ServerId, at: S| {
         let own = &arrivals[server_span(&arrivals, server, |a| a.0)];
-        near(own, |a| a.1, tol, at, finite)
-            .iter()
-            .any(|a| eq(a.1, at))
+        near(own, |a| a.1, tol, at).iter().any(|a| eq(a.1, at))
     };
     // Whether one of a server's first `k` copies (by start) lasts until
     // `t`, read off their running end.
@@ -186,9 +176,7 @@ pub fn validate_with<S: Scalar>(
         };
         let alive = lasts(reach, copies.partition_point(|h| h.from < tr.at), tr.at)
             || (tr.src == ServerId::ORIGIN
-                && near(copies, |h| h.from, tol, S::ZERO, finite)
-                    .iter()
-                    .any(grounds));
+                && near(copies, |h| h.from, tol, S::ZERO).iter().any(grounds));
         if !alive {
             violations.push(Violation::DeadTransferSource {
                 src: tr.src,
@@ -204,10 +192,8 @@ pub fn validate_with<S: Scalar>(
         let (copies, reach) = copies_on(s);
         let covers = |h: &CacheInterval<S>| le(h.from, t) && le(t, h.to);
         let k = copies.partition_point(|h| h.from <= t);
-        let cached = lasts(reach, k, t)
-            || near(&copies[k..], |h| h.from, tol, t, finite)
-                .iter()
-                .any(covers);
+        let cached =
+            lasts(reach, k, t) || near(&copies[k..], |h| h.from, tol, t).iter().any(covers);
         if !cached && !arrives(s, t) {
             violations.push(Violation::UnservedRequest {
                 request: i,
@@ -268,13 +254,9 @@ fn server_span<T>(sorted: &[T], server: ServerId, key: impl Fn(&T) -> ServerId) 
 }
 
 /// The entries of `sorted` (ascending by `time`) that can lie within
-/// tolerance of `t`: the binary-searched [`tol_band`] when every time in
-/// the list is `finite`, else all of them, so the exact test alone
-/// decides.
-fn near<T, S: Scalar>(sorted: &[T], time: impl Fn(&T) -> S, tol: f64, t: S, finite: bool) -> &[T] {
-    if !finite {
-        return sorted;
-    }
+/// tolerance of `t`: the binary-searched [`tol_band`]. A non-finite time
+/// in the list equals only itself, so the band misses no match.
+fn near<T, S: Scalar>(sorted: &[T], time: impl Fn(&T) -> S, tol: f64, t: S) -> &[T] {
     let (lo, hi) = tol_band(tol, t.to_f64());
     let start = sorted.partition_point(|x| time(x).to_f64() < lo);
     &sorted[start..start + sorted[start..].partition_point(|x| time(x).to_f64() <= hi)]
@@ -441,6 +423,34 @@ mod tests {
         sched.transfers[0].at += 1e-12;
         assert!(validate(&inst, &sched).is_err());
         assert!(validate_with(&inst, &sched, ValidateOptions { tol: 1e-9 }).is_ok());
+    }
+
+    /// A transfer at `t = +∞` neither lives off a copy that ended at 2.0
+    /// nor delivers the request at 2.0: tolerance must not make a finite
+    /// time equal to an infinite one.
+    #[test]
+    fn tolerance_never_matches_a_finite_time_to_infinity() {
+        let inst = Instance::<f64>::from_compact("m=2 mu=1 lambda=1 | s2@1.0 s2@2.0").unwrap();
+        let mut sched = Schedule::new();
+        sched.cache(ServerId(0), 0.0, 2.0);
+        sched.cache(ServerId(1), 1.0, 1.5);
+        sched.transfer(ServerId(0), ServerId(1), 1.0);
+        sched.transfer(ServerId(0), ServerId(1), f64::INFINITY);
+        let exact = validate_with(&inst, &sched, ValidateOptions { tol: 0.0 }).unwrap_err();
+        for tol in [0.0, 1e-9] {
+            let errs = validate_with(&inst, &sched, ValidateOptions { tol }).unwrap_err();
+            assert!(
+                errs.iter()
+                    .any(|v| matches!(v, Violation::DeadTransferSource { .. })),
+                "tol {tol}: {errs:?}"
+            );
+            assert!(
+                errs.iter()
+                    .any(|v| matches!(v, Violation::UnservedRequest { request: 2, .. })),
+                "tol {tol}: {errs:?}"
+            );
+            assert_eq!(errs, exact);
+        }
     }
 
     /// The referee before indexing: every provenance and service question

@@ -33,7 +33,7 @@
 //! *created* at or inside an outage with positive length is fictional.
 
 use mcc_core::online::{FaultPlan, OnlineRun};
-use mcc_model::{tol_band, Instance, Schedule, ServerId, Violation};
+use mcc_model::{tol_band, Instance, Scalar, Schedule, ServerId, Violation};
 
 // --- shared fault-waiver helpers ------------------------------------------
 //
@@ -42,12 +42,10 @@ use mcc_model::{tol_band, Instance, Schedule, ServerId, Violation};
 // functions, so their verdicts — and the bit pattern of every recomputed
 // cost — cannot drift apart.
 
-/// Approximate time equality at `tol`, the same rule as the model referee.
+/// Approximate time equality at `tol`: the model referee's rule,
+/// [`Scalar::approx_eq`].
 pub(crate) fn eq_tol(tol: f64, a: f64, b: f64) -> bool {
-    if a == b {
-        return true;
-    }
-    (a - b).abs() <= tol * a.abs().max(b.abs()).max(1.0)
+    a.approx_eq(b, tol)
 }
 
 /// Whether a cache interval starting at `from` with no incoming transfer

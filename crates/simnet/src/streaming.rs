@@ -12,6 +12,14 @@
 //! server instead of interval lists. All storage lives in a caller-owned
 //! [`AuditScratch`], so a warm audit performs **zero heap allocations**.
 //!
+//! What the sweep builds comes out in order as well, so the audit sorts
+//! nothing: each merged interval reserves its coverage span when it opens
+//! (spans are therefore in start order, the order the coverage walk
+//! needs), each server's cost terms are kept in their own list in closing
+//! order (read server by server, that is the replay's `(server, from)`
+//! summation order), and the brownout surcharge orders only runs of
+//! same-instant transfers by `(src, dst)`.
+//!
 //! # Equivalence with the replay auditor
 //!
 //! For every run the pipeline can produce, the streaming pass yields the
@@ -41,11 +49,11 @@
 //! windows or sub-tolerance near-ties) the two auditors may disagree on
 //! tolerance-boundary corners; the replay auditor is the arbiter there.
 
-use mcc_core::online::{CrashWindow, FaultPlan, RunRecord};
+use mcc_core::online::{sort_tie_runs, CrashWindow, FaultPlan, RunRecord};
 use mcc_model::{Instance, ServerId, Violation};
 
 use crate::audit::{
-    gap_waived, grounded_start, interval_surcharge, outage_covers, transfer_surcharge,
+    eq_tol, gap_waived, grounded_start, interval_surcharge, outage_covers, transfer_surcharge,
     AuditFinding, AuditReport,
 };
 
@@ -90,6 +98,9 @@ struct SrvState {
     /// Latest crash window seen on this server (`[down_from, down_to)`).
     down_from: f64,
     down_to: f64,
+    /// Index of the current interval's coverage span in
+    /// [`AuditScratch`]'s `spans`, reserved when the interval opened.
+    span: usize,
 }
 
 impl SrvState {
@@ -124,6 +135,7 @@ impl Default for SrvState {
             has_prev: false,
             down_from: f64::NEG_INFINITY,
             down_to: f64::NEG_INFINITY,
+            span: 0,
         }
     }
 }
@@ -138,13 +150,16 @@ pub struct AuditScratch {
     srv: Vec<SrvState>,
     incoming: Vec<Vec<f64>>,
     delivered: Vec<Vec<f64>>,
+    /// Coverage span per merged interval, in opening order (so by start);
+    /// a span left empty (`to == from`) covers nothing and is skipped.
     spans: Vec<(f64, f64)>,
-    /// `(server, from, believed to)` per merged interval, for the cost
-    /// recompute in the replay auditor's summation order.
-    costs: Vec<(usize, f64, f64)>,
+    /// `(from, believed to)` per merged interval and server, in closing
+    /// order (so by start), for the cost recompute in the replay
+    /// auditor's `(server, from)` summation order.
+    costs: Vec<Vec<(f64, f64)>>,
     /// Total-outage spans of the current plan (empty without a plan).
     outages: Vec<(f64, f64)>,
-    /// `(at, src, dst)` per transfer, sorted like a normalized schedule's
+    /// `(at, src, dst)` per transfer, ordered like a normalized schedule's
     /// transfer list, for the brownout surcharge summation order.
     tr_order: Vec<(f64, u32, u32)>,
     findings: Vec<AuditFinding>,
@@ -161,14 +176,19 @@ impl AuditScratch {
         for list in &mut self.delivered {
             list.clear();
         }
+        for list in &mut self.costs {
+            list.clear();
+        }
         if self.incoming.len() < servers {
             self.incoming.resize_with(servers, Vec::new);
         }
         if self.delivered.len() < servers {
             self.delivered.resize_with(servers, Vec::new);
         }
+        if self.costs.len() < servers {
+            self.costs.resize_with(servers, Vec::new);
+        }
         self.spans.clear();
-        self.costs.clear();
         self.outages.clear();
         self.tr_order.clear();
         self.findings.clear();
@@ -200,12 +220,9 @@ const TAG_TRANSFER: u8 = 2;
 const TAG_REQUEST: u8 = 3;
 
 impl StreamingAuditor {
-    /// Approximate time equality, matching the model referee's rule.
+    /// Approximate time equality, the model referee's rule.
     fn eq(&self, a: f64, b: f64) -> bool {
-        if a == b {
-            return true;
-        }
-        (a - b).abs() <= self.tol * a.abs().max(b.abs()).max(1.0)
+        eq_tol(self.tol, a, b)
     }
 
     fn le(&self, a: f64, b: f64) -> bool {
@@ -217,14 +234,14 @@ impl StreamingAuditor {
         (i < list.len() && self.eq(list[i], at)) || (i > 0 && self.eq(list[i - 1], at))
     }
 
-    /// Closes out a server's current merged interval: coverage span, cost
-    /// contribution, origin anchor, continuation bookkeeping.
+    /// Closes out a server's current merged interval: coverage span end,
+    /// cost contribution, origin anchor, continuation bookkeeping.
     fn finalize_interval(
         &self,
         st: &mut SrvState,
         s: usize,
-        spans: &mut Vec<(f64, f64)>,
-        costs: &mut Vec<(usize, f64, f64)>,
+        spans: &mut [(f64, f64)],
+        costs: &mut Vec<(f64, f64)>,
         anchored: &mut bool,
     ) {
         if !st.has {
@@ -232,9 +249,9 @@ impl StreamingAuditor {
         }
         let eff = st.effective_to();
         if eff > st.from {
-            spans.push((st.from, eff));
+            spans[st.span].1 = eff;
         }
-        costs.push((s, st.from, st.to));
+        costs.push((st.from, st.to));
         if s == ServerId::ORIGIN.index() && self.eq(st.from, 0.0) && eff > 0.0 {
             *anchored = true;
         }
@@ -444,8 +461,10 @@ impl StreamingAuditor {
                             }
                         }
                     } else {
-                        self.finalize_interval(st, s, spans, costs, &mut anchored);
+                        self.finalize_interval(st, s, spans, &mut costs[s], &mut anchored);
                         st.has = true;
+                        st.span = spans.len();
+                        spans.push((r.from, r.from));
                         st.from = r.from;
                         st.to = r.to;
                         st.crash_actual_to = r.to;
@@ -596,7 +615,7 @@ impl StreamingAuditor {
             }
         }
         for (s, st) in srv.iter_mut().enumerate() {
-            self.finalize_interval(st, s, spans, costs, &mut anchored);
+            self.finalize_interval(st, s, spans, &mut costs[s], &mut anchored);
         }
 
         // --- coverage ---------------------------------------------------
@@ -604,13 +623,16 @@ impl StreamingAuditor {
             if !anchored {
                 findings.push(AuditFinding::Violation(Violation::MissingOriginCopy));
             }
-            // Unstable sort: spans sharing a start time contribute the
-            // same gap verdict in either order (`reach` is a running max).
-            spans.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            // The spans were reserved as their intervals opened, so they
+            // are in start order already; spans sharing a start time give
+            // the same gap verdict in any order (`reach` is a running max).
             let horizon = inst.horizon();
             let mut reach = 0.0f64;
             let mut gap_reported = false;
             for &(from, to) in spans.iter() {
+                if !(to > from) {
+                    continue; // crash- or transfer-dead: covers nothing
+                }
                 if from > reach && !self.eq(from, reach) {
                     // A gap lying inside a total outage is waived: no
                     // policy can hold a copy anywhere over it.
@@ -650,11 +672,13 @@ impl StreamingAuditor {
         if let Some(reported) = reported_cost {
             // Recompute in the replay auditor's exact summation order
             // (normalized schedules sort by (server, from)) so the two
-            // auditors agree bit-for-bit on the drift verdict.
-            costs.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+            // auditors agree bit-for-bit on the drift verdict. Each
+            // server's intervals closed in start order, so reading the
+            // lists server by server is that order.
+            let costs = &costs[..servers];
             let model = inst.cost();
             let mut caching = 0.0;
-            for &(_, from, to) in costs.iter() {
+            for &(from, to) in costs.iter().flatten() {
                 caching += model.caching(to - from);
             }
             let mut transfer = 0.0;
@@ -669,15 +693,21 @@ impl StreamingAuditor {
             if let Some(p) = plan {
                 if !p.brownouts().is_empty() {
                     let mut sur = 0.0;
-                    for &(s, from, to) in costs.iter() {
-                        sur += interval_surcharge(p, ServerId::from_index(s), from, to, model.mu);
+                    for (s, list) in costs.iter().enumerate() {
+                        for &(from, to) in list {
+                            sur +=
+                                interval_surcharge(p, ServerId::from_index(s), from, to, model.mu);
+                        }
                     }
-                    for tr in transfers {
-                        tr_order.push((tr.at, tr.src.0, tr.dst.0));
-                    }
-                    tr_order.sort_unstable_by(|a, b| {
-                        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2))
-                    });
+                    // Transfers come in time order: only same-instant runs
+                    // need their `(src, dst)` order.
+                    debug_assert!(transfers.windows(2).all(|w| w[0].at <= w[1].at));
+                    tr_order.extend(transfers.iter().map(|tr| (tr.at, tr.src.0, tr.dst.0)));
+                    sort_tie_runs(
+                        tr_order,
+                        |a, b| a.0 == b.0,
+                        |a, b| (a.1, a.2).cmp(&(b.1, b.2)),
+                    );
                     for &(at, src, dst) in tr_order.iter() {
                         sur +=
                             transfer_surcharge(p, ServerId(src), ServerId(dst), at, model.lambda);
