@@ -35,17 +35,17 @@ use mcc_core::offline::{
     solve_batch_in, solve_fast, solve_fast_in, solve_naive, solve_naive_in, BatchWorkspace,
     SolverWorkspace,
 };
-use mcc_core::online::{run_policy_record, Runtime, SpeculativeCaching};
+use mcc_core::online::{run_policy_record, FaultPlan, Runtime, SpeculativeCaching};
 use mcc_fleet::{run_fleet, EvictionPolicy, FleetSpec, FleetWorkspace};
 use mcc_model::{CostModel, Instance, Json};
 use mcc_obs::{noop, Hist, HistSnapshot, Registry};
 use mcc_serve::wire::request_line;
 use mcc_serve::{serve_lines, DaemonOptions, ServeConfig, ServeEngine, WireRequest};
 use mcc_simnet::{
-    factory, sweep, FaultSpec, GridCell, PolicyFactory, RunMode, RunRequest, SimClock,
+    factory, sweep, FaultSpec, GridCell, PlanScratch, PolicyFactory, RunMode, RunRequest, SimClock,
 };
 use mcc_workloads::distributions::ParamDist;
-use mcc_workloads::{load_events, CommonParams, PoissonWorkload, Workload};
+use mcc_workloads::{load_events, CommonParams, InstanceBuf, PoissonWorkload, Workload};
 
 use super::Scale;
 
@@ -598,6 +598,78 @@ impl ScReplay {
     }
 }
 
+/// The `sweep_chaos` unit's trace shape (m = 16, n = 2,000), over the
+/// seeds one fault-plan pass expands.
+const CHAOS_SCALE: Scale = Scale {
+    seeds: 8,
+    requests: 2_000,
+    servers: 16,
+};
+
+/// Ceiling of the fault-plan gate: plan expansion time over trace
+/// generation time on the `sweep_chaos` unit. Over five alternating
+/// `--check` runs on a 2-vCPU host, plans that also merged their ~2,900
+/// crash windows into global onset and recovery orders read 8.70–8.78,
+/// and the by-server layout alone reads 2.84–2.89.
+const FAULT_PLAN_CEILING: f64 = 5.0;
+
+/// The `sweep_chaos` unit's two set-up steps over the same seeds:
+/// generating each trace, and expanding its fault plan (crash rate 0.1,
+/// the default knobs) into warm buffers.
+struct ChaosSetup {
+    w: PoissonWorkload,
+    spec: FaultSpec,
+    buf: InstanceBuf,
+    plan: FaultPlan,
+    scratch: PlanScratch,
+    /// Each seed's trace horizon, the span its plan covers.
+    horizons: Vec<f64>,
+}
+
+impl ChaosSetup {
+    fn new() -> Self {
+        let w = poisson(CHAOS_SCALE.servers, CHAOS_SCALE.requests);
+        let mut buf = InstanceBuf::new();
+        let horizons = (0..CHAOS_SCALE.seeds)
+            .map(|seed| w.generate_into(seed, &mut buf).horizon())
+            .collect();
+        ChaosSetup {
+            w,
+            spec: FaultSpec {
+                seed: 7,
+                crash_rate: 0.1,
+                ..FaultSpec::default()
+            },
+            buf,
+            plan: FaultPlan::none(),
+            scratch: PlanScratch::default(),
+            horizons,
+        }
+    }
+
+    fn generate(&mut self) {
+        for seed in 0..CHAOS_SCALE.seeds {
+            black_box(self.w.generate_into(seed, &mut self.buf).n());
+        }
+    }
+
+    /// Expands every seed's plan; returns the crash windows built.
+    fn plan(&mut self) -> usize {
+        let mut windows = 0;
+        for (seed, &horizon) in self.horizons.iter().enumerate() {
+            self.spec.plan_for_into(
+                seed as u64,
+                CHAOS_SCALE.servers,
+                horizon,
+                &mut self.plan,
+                &mut self.scratch,
+            );
+            windows += black_box(self.plan.crashes().len());
+        }
+        windows
+    }
+}
+
 fn sweep_readings() -> Vec<Reading> {
     let f = sc();
     let (mut wide, mut narrow) = (
@@ -611,6 +683,7 @@ fn sweep_readings() -> Vec<Reading> {
     let reg = Registry::new();
     let mut off = RunRequest::new(RunMode::Plain);
     let mut on = RunRequest::new(RunMode::Plain).with_sink(&reg);
+    let (mut planner, mut generator) = (ChaosSetup::new(), ChaosSetup::new());
     measure(vec![
         calibrated(Suite::Sweep, sweep_units(quick), 1, || {
             run_pass(&f, &w, quick.seeds, &mut req)
@@ -634,6 +707,18 @@ fn sweep_readings() -> Vec<Reading> {
             name: "sc_m256_vs_m8",
             limit: Limit::Max(SC_SCALING_CEILING),
             pair: Box::new(pair(|| wide.run(), || narrow.run())),
+        },
+        // A unit's fault plan must cost a few of its traces, not a
+        // global sort of its crash windows.
+        Probe {
+            name: "fault_plan_vs_generate",
+            limit: Limit::Max(FAULT_PLAN_CEILING),
+            pair: Box::new(pair(
+                || {
+                    planner.plan();
+                },
+                || generator.generate(),
+            )),
         },
     ])
 }
@@ -675,6 +760,24 @@ fn sweep_report(quick: bool) -> Measured {
             ),
         ]));
     }
+    let mut chaos = ChaosSetup::new();
+    let windows = chaos.plan();
+    let plan_secs = best_secs(|| {
+        chaos.plan();
+    });
+    rows.push(obj(vec![
+        ("fault_plan", text("sweep_chaos unit")),
+        ("m", int(CHAOS_SCALE.servers)),
+        ("n", int(CHAOS_SCALE.requests)),
+        (
+            "crash_windows_per_plan",
+            int(windows / CHAOS_SCALE.seeds as usize),
+        ),
+        (
+            "ns_per_crash_window",
+            Json::Float(plan_secs * 1e9 / windows as f64),
+        ),
+    ]));
     Measured {
         shape: vec![
             ("n", int(scale.requests)),
@@ -684,6 +787,10 @@ fn sweep_report(quick: bool) -> Measured {
             (
                 "sc_replay",
                 text("poisson rate 1, unit costs, seed 7, m 2/8/64/256"),
+            ),
+            (
+                "fault_plan",
+                text("m 16, n 2000, crash rate 0.1, seeds 0..8, warm buffers"),
             ),
         ],
         unit: "units/s",

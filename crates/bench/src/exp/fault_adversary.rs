@@ -178,7 +178,12 @@ fn perturb_into(
     };
     scratch.assign(
         |crashes, partitions, brownouts| {
+            // Pick windows in (onset, server) order, the order the plan
+            // listed them in before its by-server layout, so a seed keeps
+            // moving the same window.
             crashes.extend_from_slice(plan.crashes());
+            crashes
+                .sort_unstable_by(|a, b| a.from.total_cmp(&b.from).then(a.server.cmp(&b.server)));
             partitions.extend_from_slice(plan.partitions());
             brownouts.extend_from_slice(plan.brownouts());
             if pick < nc {

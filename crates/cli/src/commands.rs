@@ -7,8 +7,8 @@ use mobile_cloud_cache::analysis::{fnum, render, render_metrics, Summary, Table}
 use mobile_cloud_cache::fleet::EvictionPolicy;
 use mobile_cloud_cache::online::{CrashWindow, FaultPlan};
 use mobile_cloud_cache::prelude::{
-    analyze, factory, optimal_cost, optimal_schedule, run_fleet, run_policy, serve_lines,
-    solve_fast, sweep_with, validate, CommonParams, DaemonOptions, FaultSpec, FleetSpec,
+    factory, optimal_cost, optimal_schedule, run_fleet, run_policy, serve_lines, solve_fast,
+    sweep_with, try_analyze, validate, CommonParams, DaemonOptions, FaultSpec, FleetSpec,
     FleetWorkspace, Follow, GridCell, Instance, KeepEverywhere, MarkovWorkload, OnlineDecider,
     PoissonWorkload, PolicyFactory, Prescan, Registry, ServeConfig, ServeEngine, ServerId,
     SpeculativeCaching, StayAtOrigin, Workload,
@@ -179,7 +179,7 @@ pub fn online(args: &ParsedArgs) -> Result<String, String> {
         run.cache_hits()
     );
     if args.has_flag("analyze") {
-        let report = analyze(&inst, &run);
+        let report = try_analyze(&inst, &run).map_err(|e| format!("--analyze: {e}"))?;
         let _ = writeln!(out, "  off-line optimum: {}", fnum(report.opt_cost));
         let _ = writeln!(out, "  competitive ratio: {}", fnum(report.ratio()));
         let _ = writeln!(
@@ -936,6 +936,26 @@ mod tests {
         let out = run_inline("online", FIG6, &["--analyze"]).unwrap();
         assert!(out.contains("sc: cost"), "{out}");
         assert!(out.contains("verified"), "{out}");
+    }
+
+    #[test]
+    fn online_analysis_refuses_multi_epoch_runs() {
+        // Epochs of three transfers reset SC mid-sequence, which voids the
+        // Theorem 3 chain: a typed error (exit 2), not an abort.
+        let dir = std::env::temp_dir().join("mcc-cli-epochs");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.json");
+        let line = format!(
+            "generate poisson --servers 8 --requests 400 --seed 77 --out {}",
+            path.display()
+        );
+        run_line(&line).unwrap();
+        let trace = path.display();
+        let err = run_line(&format!("online {trace} --policy sc:epoch=3 --analyze")).unwrap_err();
+        assert!(err.contains("single-epoch"), "{err}");
+        // Without the analysis the same run still reports its cost.
+        let out = run_line(&format!("online {trace} --policy sc:epoch=3")).unwrap();
+        assert!(out.contains("cost"), "{out}");
     }
 
     #[test]

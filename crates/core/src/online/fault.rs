@@ -77,6 +77,32 @@
 //! pass-through: every operation reaches the runtime unchanged, so
 //! fault-free wrapped runs are bit-identical to unwrapped runs (asserted
 //! by the property tests in `mcc-simnet`).
+//!
+//! # Plan layout and the event walk
+//!
+//! A plan keeps its crash windows by server only: the window list in
+//! (server, onset) order, each server's windows coalesced into disjoint
+//! ones, plus one offset per server ([`FaultPlan::server_windows`]). Each
+//! server's onsets and recoveries are therefore strictly ascending runs,
+//! and the plan builds no global crash order; [`FaultPlan::crashes`] lists
+//! the windows by server.
+//!
+//! The wrapper applies crashes, recoveries and partition heals in one
+//! order, keyed (instant, kind, server or heal position): by instant,
+//! then recovery before heal before crash, so a pended replication or
+//! queue drain can land on a server recovering exactly when another
+//! crashes, then by server (or, for heals, position in the partitions'
+//! by-heal index). It keeps a cursor per server's onsets and recoveries,
+//! one over the heals, and a frontier key before which every event is
+//! handled or passed. Most events change nothing, so each step takes the
+//! least key past the frontier among the events that can act in the
+//! current state: the crashes of servers holding a copy; recoveries only
+//! during a total outage, with a queue to drain, or with a replication
+//! pending on a sole copy; heals only with a queue to drain and a live
+//! copy. The rest are passed by moving the frontier, which reaches the
+//! same states as visiting every event. A lower bound on the next crash of
+//! any server holding a copy, lowered whenever a copy opens, lets a
+//! request with nothing due return after one compare.
 
 // The chaos layer is reachable from user input (CLI fault knobs feed
 // straight into plan expansion), so it carries the same no-panic bar as
@@ -84,8 +110,6 @@
 // the lints below.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::Arc;
 
 use mcc_model::{CostModel, Request, Scalar, ServerId};
@@ -167,32 +191,23 @@ pub struct RetryDraw {
 /// docs). Unwrapped policies run against such plans produce schedules the
 /// auditors flag rather than panics.
 ///
-/// Crash windows are also laid out by server: one offset per server up
-/// to the highest crashing one, so a plan's storage is linear in its
-/// windows plus that server index. Callers taking server indexes from
-/// untrusted input bound them first.
+/// Crash windows are laid out by server (see the module docs): one
+/// offset per server up to the highest crashing one, so a plan's storage
+/// is linear in its windows plus that server index. Callers taking server
+/// indexes from untrusted input bound them first.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultPlan {
-    /// Outages, sorted by (crash instant, server); each server's windows
-    /// are disjoint (see `index_crashes`).
+    /// Outages in (server, crash instant) order: each server's windows
+    /// are one run, disjoint and strictly ascending (see
+    /// `index_crashes`).
     crashes: Vec<CrashWindow>,
-    /// Per-server offsets into the two columns below: server `s`'s
-    /// windows are `crash_start[s] .. crash_start[s + 1]`. Holds one entry
-    /// per server up to the highest crashing one, plus one; empty when
-    /// there are no windows.
+    /// Per-server offsets into `crashes`: server `s`'s run is
+    /// `crash_start[s] .. crash_start[s + 1]`. Holds one entry per server
+    /// up to the highest crashing one, plus one; empty when there are no
+    /// windows.
     crash_start: Vec<u32>,
-    /// Crash instants in (server, crash instant) order: each server's run
-    /// is strictly ascending.
-    crash_onsets: Vec<f64>,
-    /// Recovery instants in the same order, also strictly ascending per
-    /// server (the windows are disjoint).
-    crash_recoveries: Vec<f64>,
-    /// Indexes into the two columns above, sorted by (recovery instant,
-    /// server).
-    crash_by_end: Vec<u32>,
-    /// The run heads of the merges that build the two event orders;
-    /// empty between builds, kept for its capacity.
-    merge_heads: Vec<Reverse<(u64, u32, u32)>>,
+    /// The latest crash instant (`-inf` without windows).
+    last_crash: f64,
     /// Partitions, sorted by start instant.
     partitions: Vec<PartitionWindow>,
     /// `partition_reach[i]`: the latest heal among `partitions[..=i]`.
@@ -240,47 +255,6 @@ fn clamp_nonneg(x: f64) -> f64 {
     }
 }
 
-/// Orders `x` like [`f64::total_cmp`] when compared as an unsigned integer.
-fn total_key(x: f64) -> u64 {
-    let bits = x.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// Merges the per-server runs of `column` (`start` holds their offsets;
-/// each run strictly ascending) into one order keyed `(total_key(value),
-/// server)`, handing each window's column index and server to `emit`.
-/// The keys are unique, so the order is the one a sort on them gives.
-/// `heads` comes in and goes back empty, lending its capacity.
-fn merge_runs(
-    start: &[u32],
-    column: &[f64],
-    heads: &mut Vec<Reverse<(u64, u32, u32)>>,
-    mut emit: impl FnMut(usize, u32),
-) {
-    let mut heap = BinaryHeap::from(std::mem::take(heads));
-    for (s, run) in start.windows(2).enumerate() {
-        if run[0] < run[1] {
-            let j = run[0];
-            heap.push(Reverse((total_key(column[j as usize]), s as u32, j)));
-        }
-    }
-    while let Some(mut top) = heap.peek_mut() {
-        let Reverse((_, s, j)) = *top;
-        emit(j as usize, s);
-        let next = j + 1;
-        if next < start[s as usize + 1] {
-            *top = Reverse((total_key(column[next as usize]), s, next));
-        } else {
-            PeekMut::pop(top);
-        }
-    }
-    *heads = heap.into_vec();
-}
-
 /// Refills `index` with the positions `0..len`.
 fn fill_positions(index: &mut Vec<u32>, len: usize) {
     index.clear();
@@ -311,10 +285,7 @@ impl FaultPlan {
         FaultPlan {
             crashes: Vec::new(),
             crash_start: Vec::new(),
-            crash_onsets: Vec::new(),
-            crash_recoveries: Vec::new(),
-            crash_by_end: Vec::new(),
-            merge_heads: Vec::new(),
+            last_crash: f64::NEG_INFINITY,
             partitions: Vec::new(),
             partition_reach: Vec::new(),
             partition_by_end: Vec::new(),
@@ -330,10 +301,10 @@ impl FaultPlan {
         }
     }
 
-    /// Builds a plan from explicit parts. Windows are sorted by crash
-    /// instant; malformed windows (non-finite, negative, or empty) are
-    /// dropped, and overlapping same-server windows are coalesced.
-    /// `fail_prob` is clamped to `[0, 0.999]`. Partitions and
+    /// Builds a plan from explicit parts. Windows are sorted by server
+    /// and crash instant; malformed windows (non-finite, negative, or
+    /// empty) are dropped, and overlapping same-server windows are
+    /// coalesced. `fail_prob` is clamped to `[0, 0.999]`. Partitions and
     /// brownouts start empty — attach them with
     /// [`FaultPlan::with_partitions`] / [`FaultPlan::with_brownouts`].
     pub fn new(
@@ -370,22 +341,18 @@ impl FaultPlan {
     }
 
     /// Validates the crash windows, then coalesces overlapping or touching
-    /// windows on the same server, lays them out by server, puts the list
-    /// in plan order — (from, server) — and fills the by-end index.
-    /// Correlated bursts can land on top of base crash windows, but every
-    /// consumer of the plan — its binary-searched queries, the wrapper's
-    /// event cursors, both auditors' crash geometry — assumes each
-    /// server's downtime windows are disjoint, so the constructors
-    /// normalize here.
+    /// windows on the same server and lays them out by server. Correlated
+    /// bursts can land on top of base crash windows, but every consumer
+    /// of the plan — its binary-searched queries, the wrapper's event
+    /// cursors, both auditors' crash geometry — assumes each server's
+    /// downtime windows are disjoint, so the constructors normalize here.
     ///
     /// Allocation-free once warm. Coalescing leaves the windows in
-    /// (server, from) order, which is the by-server layout: one offset per
-    /// server and two dense columns of onsets and recoveries. Disjoint
-    /// windows make each server's onsets and recoveries strictly
-    /// ascending, so both event orders — plan order by (onset, server) and
-    /// the by-end index by (recovery, server) — are m-way merges of the
-    /// server runs, and the plan-order windows are written back from the
-    /// columns.
+    /// (server, from) order, which is the by-server layout itself: one
+    /// offset per server over the window list. Disjoint windows make each
+    /// server's onsets and recoveries strictly ascending, so no consumer
+    /// needs a global event order; the wrapper and the streaming auditor
+    /// walk the per-server runs instead.
     fn index_crashes(&mut self) {
         let crashes = &mut self.crashes;
         crashes.retain(|w| valid_window(w.from, w.to));
@@ -412,34 +379,20 @@ impl FaultPlan {
         // Positions fit `u32`: 2^32 windows would need ~100 GiB of storage.
         let start = &mut self.crash_start;
         start.clear();
+        let mut last = f64::NEG_INFINITY;
         for (j, w) in crashes.iter().enumerate() {
             let s = w.server.index();
             if start.len() <= s {
                 start.resize(s + 1, j as u32);
             }
+            if w.from.total_cmp(&last).is_gt() {
+                last = w.from;
+            }
         }
         if !crashes.is_empty() {
             start.push(crashes.len() as u32);
         }
-        let (onsets, recoveries) = (&mut self.crash_onsets, &mut self.crash_recoveries);
-        onsets.clear();
-        onsets.extend(crashes.iter().map(|w| w.from));
-        recoveries.clear();
-        recoveries.extend(crashes.iter().map(|w| w.to));
-        let mut pos = 0;
-        merge_runs(start, onsets, &mut self.merge_heads, |j, server| {
-            crashes[pos] = CrashWindow {
-                server: ServerId(server),
-                from: onsets[j],
-                to: recoveries[j],
-            };
-            pos += 1;
-        });
-        let by_end = &mut self.crash_by_end;
-        by_end.clear();
-        merge_runs(start, recoveries, &mut self.merge_heads, |j, _| {
-            by_end.push(j as u32)
-        });
+        self.last_crash = last;
     }
 
     /// Validates and sorts the partition windows in place, then rebuilds
@@ -458,8 +411,12 @@ impl FaultPlan {
         );
         fill_positions(&mut self.partition_by_end, self.partitions.len());
         let partitions = &self.partitions;
-        self.partition_by_end
-            .sort_unstable_by_key(|&p| (total_key(partitions[p as usize].to), p));
+        self.partition_by_end.sort_unstable_by(|&p, &q| {
+            partitions[p as usize]
+                .to
+                .total_cmp(&partitions[q as usize].to)
+                .then(p.cmp(&q))
+        });
     }
 
     /// Validates (dropping `factor ≤ 1`) and sorts the brownout windows in
@@ -535,9 +492,7 @@ impl FaultPlan {
     pub fn copy_from(&mut self, other: &FaultPlan) {
         self.crashes.clone_from(&other.crashes);
         self.crash_start.clone_from(&other.crash_start);
-        self.crash_onsets.clone_from(&other.crash_onsets);
-        self.crash_recoveries.clone_from(&other.crash_recoveries);
-        self.crash_by_end.clone_from(&other.crash_by_end);
+        self.last_crash = other.last_crash;
         self.partitions.clone_from(&other.partitions);
         self.partition_reach.clone_from(&other.partition_reach);
         self.partition_by_end.clone_from(&other.partition_by_end);
@@ -566,10 +521,30 @@ impl FaultPlan {
         !self.crashes.is_empty()
     }
 
-    /// The outage windows, sorted by (crash instant, server); each
-    /// server's windows are disjoint.
+    /// The outage windows by server: sorted by (server, crash instant),
+    /// each server's windows disjoint. (Before the by-server layout this
+    /// list was sorted by (crash instant, server); a caller wanting that
+    /// order sorts a copy.)
     pub fn crashes(&self) -> &[CrashWindow] {
         &self.crashes
+    }
+
+    /// `server`'s outage windows, by crash instant (empty for a server
+    /// that owns none).
+    pub fn server_windows(&self, server: ServerId) -> &[CrashWindow] {
+        let s = server.index();
+        match (self.crash_start.get(s), self.crash_start.get(s + 1)) {
+            (Some(&a), Some(&b)) => &self.crashes[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+
+    /// Every crashing server's windows, by server: one run per server up
+    /// to the highest crashing one (servers in between yield empty runs).
+    pub fn crash_runs(&self) -> impl Iterator<Item = &[CrashWindow]> + '_ {
+        self.crash_start
+            .windows(2)
+            .map(|r| &self.crashes[r[0] as usize..r[1] as usize])
     }
 
     /// The partition windows, sorted by start instant.
@@ -617,26 +592,13 @@ impl FaultPlan {
         self.mean_delay
     }
 
-    /// `server`'s crash and recovery instants, each strictly ascending
-    /// (empty for a server that owns no window).
-    fn server_crashes(&self, server: ServerId) -> (&[f64], &[f64]) {
-        let s = server.index();
-        match (self.crash_start.get(s), self.crash_start.get(s + 1)) {
-            (Some(&a), Some(&b)) => {
-                let run = a as usize..b as usize;
-                (&self.crash_onsets[run.clone()], &self.crash_recoveries[run])
-            }
-            _ => (&[], &[]),
-        }
-    }
-
     /// Whether `server` is down at instant `t`. `O(log w)` over the
     /// server's own windows: they are disjoint, so only the latest one
     /// starting at or before `t` can cover it.
     pub fn is_down(&self, server: ServerId, t: f64) -> bool {
-        let (onsets, recoveries) = self.server_crashes(server);
-        let k = onsets.partition_point(|&from| from <= t);
-        k > 0 && t < recoveries[k - 1]
+        let run = self.server_windows(server);
+        let k = run.partition_point(|w| w.from <= t);
+        k > 0 && t < run[k - 1].to
     }
 
     /// The partitions that can cover instant `t`, in plan order.
@@ -690,15 +652,15 @@ impl FaultPlan {
     /// The first crash of `server` strictly after `t`, if any (`O(log w)`
     /// over the server's own windows).
     pub fn next_crash_after(&self, server: ServerId, t: f64) -> Option<f64> {
-        let (onsets, _) = self.server_crashes(server);
-        let k = onsets.partition_point(|&from| from <= t);
-        onsets.get(k).copied().filter(|&from| from > t)
+        let run = self.server_windows(server);
+        let k = run.partition_point(|w| w.from <= t);
+        run.get(k).map(|w| w.from).filter(|&from| from > t)
     }
 
     /// The crash instant of the latest-starting window (`-inf` if none):
     /// past this time no further outage can begin.
     pub fn last_crash_start(&self) -> f64 {
-        self.crashes.last().map_or(f64::NEG_INFINITY, |w| w.from)
+        self.last_crash
     }
 
     /// Computes the **total-outage** windows — maximal positive-length
@@ -709,56 +671,53 @@ impl FaultPlan {
     /// findings inside them and ground the recovery reseed at each span's
     /// end.
     ///
-    /// One merge of the crash onsets (plan order) with the recoveries (the
-    /// by-end index), onsets first at equal instants to match the
-    /// half-open `[from, to)` union semantics of [`FaultPlan::is_down`].
-    /// Each server's windows are disjoint, so an onset always finds its
-    /// server up and a count of down servers suffices. The spans come out
-    /// sorted and disjoint.
+    /// The intersection of the per-server window lists, one server at a
+    /// time: `out` holds the spans over which every server so far is down,
+    /// each server's windows cut them (the pieces are appended behind
+    /// them), and the old spans are then drained from the front. Windows
+    /// are half-open and each server's are disjoint and never touch, so
+    /// the pieces of positive length are exactly the maximal spans; they
+    /// come out sorted and disjoint. A span starts at the latest onset
+    /// and ends at the earliest recovery among the windows covering it,
+    /// latest and earliest in [`f64::total_cmp`] order.
     pub fn total_outages_into(&self, servers: usize, out: &mut Vec<(f64, f64)>) {
         out.clear();
-        if servers == 0 {
+        // A server past the highest crashing one is never down.
+        if servers == 0 || self.crash_start.len() <= servers {
             return;
         }
-        let mut onsets = self
-            .crashes
-            .iter()
-            .filter(|w| w.server.index() < servers)
-            .peekable();
-        // The counted servers' windows are the by-server prefix below
-        // `counted`.
-        let counted = self
-            .crash_start
-            .get(servers)
-            .map_or(self.crashes.len(), |&b| b as usize);
-        let mut ends = self
-            .crash_by_end
-            .iter()
-            .filter(|&&j| (j as usize) < counted)
-            .map(|&j| self.crash_recoveries[j as usize])
-            .peekable();
-        let mut down = 0usize;
-        let mut start = 0.0f64;
-        loop {
-            let onset_first = match (onsets.peek(), ends.peek()) {
-                (Some(on), Some(end)) => on.from.total_cmp(end).is_le(),
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            if onset_first {
-                if let Some(w) = onsets.next() {
-                    down += 1;
-                    if down == servers {
-                        start = w.from;
-                    }
-                }
-            } else if let Some(to) = ends.next() {
-                if down == servers && to > start {
-                    out.push((start, to));
-                }
-                down -= 1;
+        let mut runs = self.crash_runs().take(servers);
+        if let Some(first) = runs.next() {
+            out.extend(first.iter().map(|w| (w.from, w.to)));
+        }
+        for run in runs {
+            let held = out.len();
+            if held == 0 {
+                return;
             }
+            let mut i = 0;
+            for w in run {
+                while i < held && out[i].1 <= w.from {
+                    i += 1;
+                }
+                let mut k = i;
+                while k < held && out[k].0 < w.to {
+                    let (from, to) = out[k];
+                    let from = if w.from.total_cmp(&from).is_gt() {
+                        w.from
+                    } else {
+                        from
+                    };
+                    let to = if w.to.total_cmp(&to).is_lt() {
+                        w.to
+                    } else {
+                        to
+                    };
+                    out.push((from, to));
+                    k += 1;
+                }
+            }
+            out.drain(..held);
         }
     }
 
@@ -1024,8 +983,8 @@ impl FaultStats {
     }
 }
 
-/// A crash, recovery, or partition-heal instant, in the merged per-run
-/// event order.
+/// A crash, recovery, or partition-heal instant, as the wrapper's walk
+/// hands it to [`FaultTolerant`]'s handlers.
 #[derive(Copy, Clone, Debug, PartialEq)]
 enum FaultEvent {
     Up { at: f64 },
@@ -1033,61 +992,235 @@ enum FaultEvent {
     Down { server: ServerId, at: f64 },
 }
 
-impl FaultEvent {
-    fn at(&self) -> f64 {
-        match *self {
-            FaultEvent::Up { at }
-            | FaultEvent::PartitionEnd { at }
-            | FaultEvent::Down { at, .. } => at,
+/// Event kinds in their tie order at one instant: recoveries before heals
+/// before crashes, so a pended replication or queue drain can land on a
+/// server recovering exactly when another crashes.
+const KIND_UP: u8 = 0;
+const KIND_HEAL: u8 = 1;
+const KIND_DOWN: u8 = 2;
+
+/// A place in a plan's fault-event order: (instant, kind, server — or
+/// position in the partitions' by-heal index for a heal), instants in
+/// [`f64::total_cmp`] order. Crashes at one instant go in server order.
+#[derive(Copy, Clone, Debug, PartialEq)]
+struct EventKey {
+    at: f64,
+    kind: u8,
+    idx: u32,
+}
+
+impl EventKey {
+    /// Before every event.
+    const START: EventKey = EventKey {
+        at: f64::NEG_INFINITY,
+        kind: 0,
+        idx: 0,
+    };
+
+    /// Just past every event at or before `until`. Events are due when
+    /// `at <= until`, so a zero of either sign passes both zeros.
+    fn through(until: f64) -> EventKey {
+        EventKey {
+            at: if until == 0.0 { 0.0 } else { until },
+            kind: u8::MAX,
+            idx: u32::MAX,
         }
+    }
+
+    fn is_after(&self, other: &EventKey) -> bool {
+        self.at
+            .total_cmp(&other.at)
+            .then(self.kind.cmp(&other.kind))
+            .then(self.idx.cmp(&other.idx))
+            .is_gt()
     }
 }
 
-/// The wrapper's place in a plan's merged fault-event order, one cursor
-/// per already-sorted stream: crash onsets in plan order, recoveries
-/// through the by-end index, heals through the partitions' by-heal index.
-/// The order is (instant, kind, plan order) with recoveries before heals
-/// before crashes at one instant, so a pended replication or queue drain
-/// can land on a server recovering exactly when another crashes; crashes
-/// at one instant keep the plan's server order.
-#[derive(Copy, Clone, Debug, Default)]
-struct EventCursor {
-    down: usize,
-    up: usize,
+/// The wrapper's place in its plan's fault events. Each server's onsets
+/// and recoveries are strictly ascending runs of the plan's by-server
+/// layout and heals follow the partitions' by-heal index, so one cursor
+/// per run and a frontier key locate every event the walk has not
+/// passed. A cursor lags until the walk looks at its server again and
+/// then catches up past the frontier.
+///
+/// Most events change nothing: a crash of a server holding no copy, a
+/// recovery or heal with no queue to drain and no replication pending.
+/// The walk only visits events that can act (see
+/// [`FaultTolerant::advance_faults`]) and passes the rest wholesale by
+/// moving the frontier.
+#[derive(Clone, Debug)]
+struct FaultWalk {
+    /// Per crashing server: position in the plan's window list of its
+    /// first window whose onset lies past the frontier (once caught up).
+    onset: Vec<u32>,
+    /// The same for recoveries.
+    recovery: Vec<u32>,
+    /// Position in the partitions' by-heal index of the first heal past
+    /// the frontier (once caught up).
     heal: usize,
+    /// Every event at or before this key has been handled or passed.
+    frontier: EventKey,
+    /// A lower bound on the next onset of any server holding a copy:
+    /// exact after each scan, lowered whenever a copy opens. `-inf` until
+    /// the first scan.
+    next_onset: f64,
 }
 
-impl EventCursor {
-    /// Consumes and returns the next event if it falls at or before
-    /// `until`.
-    fn next_until(&mut self, plan: &FaultPlan, until: f64) -> Option<FaultEvent> {
-        let up = plan.crash_by_end.get(self.up).map(|&j| FaultEvent::Up {
-            at: plan.crash_recoveries[j as usize],
-        });
-        let heal = plan
-            .partition_by_end
-            .get(self.heal)
-            .map(|&p| FaultEvent::PartitionEnd {
-                at: plan.partitions[p as usize].to,
-            });
-        let down = plan.crashes.get(self.down).map(|w| FaultEvent::Down {
-            server: w.server,
-            at: w.from,
-        });
-        let mut next: Option<FaultEvent> = None;
-        // Strict `<` keeps the earlier kind on ties: the array is in kind
-        // order.
-        for ev in [up, heal, down].into_iter().flatten() {
-            if next.is_none_or(|n| ev.at().total_cmp(&n.at()).is_lt()) {
-                next = Some(ev);
+impl FaultWalk {
+    /// A walk at the start of `plan`.
+    fn new(plan: &FaultPlan) -> Self {
+        let mut walk = FaultWalk {
+            onset: Vec::new(),
+            recovery: Vec::new(),
+            heal: 0,
+            frontier: EventKey::START,
+            next_onset: f64::NEG_INFINITY,
+        };
+        walk.reset(plan);
+        walk
+    }
+
+    /// Rewinds to the start of `plan`, reusing the cursor buffers.
+    fn reset(&mut self, plan: &FaultPlan) {
+        let runs = &plan.crash_start[..plan.crash_start.len().saturating_sub(1)];
+        self.onset.clear();
+        self.onset.extend_from_slice(runs);
+        self.recovery.clear();
+        self.recovery.extend_from_slice(runs);
+        self.heal = 0;
+        self.frontier = EventKey::START;
+        self.next_onset = f64::NEG_INFINITY;
+    }
+
+    /// How many of server `s`'s windows have onsets at or before the
+    /// frontier (catching its cursor up first).
+    fn onsets_passed(&mut self, plan: &FaultPlan, s: usize) -> usize {
+        let (Some(j), Some(&begin), Some(&end)) = (
+            self.onset.get_mut(s),
+            plan.crash_start.get(s),
+            plan.crash_start.get(s + 1),
+        ) else {
+            return 0;
+        };
+        while *j < end {
+            let key = EventKey {
+                at: plan.crashes[*j as usize].from,
+                kind: KIND_DOWN,
+                idx: s as u32,
+            };
+            if key.is_after(&self.frontier) {
+                break;
+            }
+            *j += 1;
+        }
+        (*j - begin) as usize
+    }
+
+    /// Server `s`'s first onset past the frontier.
+    fn next_onset_of(&mut self, plan: &FaultPlan, s: ServerId) -> Option<f64> {
+        let k = self.onsets_passed(plan, s.index());
+        plan.server_windows(s).get(k).map(|w| w.from)
+    }
+
+    /// Notes a copy opening on `s`: its next onset may come before the
+    /// walk's bound.
+    fn opened(&mut self, plan: &FaultPlan, s: ServerId) {
+        if let Some(at) = self.next_onset_of(plan, s) {
+            self.next_onset = self.next_onset.min(at);
+        }
+    }
+
+    /// Whether `s` is down at `t`, read off its onset cursor: once the
+    /// frontier has passed every onset at or before `t` and none after,
+    /// the latest passed window is the only one that can cover `t`.
+    /// Falls back to the plan's search for any other `t`.
+    fn is_down(&mut self, plan: &FaultPlan, s: ServerId, t: f64) -> bool {
+        let k = self.onsets_passed(plan, s.index());
+        let run = plan.server_windows(s);
+        let settled = run.get(k).is_none_or(|w| w.from > t)
+            && k.checked_sub(1).is_none_or(|p| run[p].from <= t);
+        if settled {
+            k > 0 && t < run[k - 1].to
+        } else {
+            plan.is_down(s, t)
+        }
+    }
+
+    /// Passes every event at or before `until`.
+    fn pass_through(&mut self, until: f64) {
+        let through = EventKey::through(until);
+        if through.is_after(&self.frontier) {
+            self.frontier = through;
+        }
+    }
+
+    /// The first event past the frontier that can act, if it falls at or
+    /// before `until`; the frontier moves onto it. Candidates are the
+    /// onsets of the `open` servers, every recovery when `ups`, and every
+    /// heal when `heals`. Refreshes the onset bound on the way.
+    fn next_due(
+        &mut self,
+        plan: &FaultPlan,
+        open: impl Iterator<Item = ServerId>,
+        ups: bool,
+        heals: bool,
+        until: f64,
+    ) -> Option<FaultEvent> {
+        let mut best: Option<(EventKey, FaultEvent)> = None;
+        let mut offer = |key: EventKey, ev: FaultEvent| {
+            if best.is_none_or(|(b, _)| b.is_after(&key)) {
+                best = Some((key, ev));
+            }
+        };
+        let mut next_onset = f64::INFINITY;
+        for server in open {
+            if let Some(at) = self.next_onset_of(plan, server) {
+                next_onset = next_onset.min(at);
+                let key = EventKey {
+                    at,
+                    kind: KIND_DOWN,
+                    idx: server.0,
+                };
+                offer(key, FaultEvent::Down { server, at });
             }
         }
-        let ev = next.filter(|ev| ev.at() <= until)?;
-        match ev {
-            FaultEvent::Up { .. } => self.up += 1,
-            FaultEvent::PartitionEnd { .. } => self.heal += 1,
-            FaultEvent::Down { .. } => self.down += 1,
+        self.next_onset = next_onset;
+        if ups {
+            for (s, j) in self.recovery.iter_mut().enumerate() {
+                let end = plan.crash_start[s + 1];
+                while *j < end {
+                    let key = EventKey {
+                        at: plan.crashes[*j as usize].to,
+                        kind: KIND_UP,
+                        idx: s as u32,
+                    };
+                    if key.is_after(&self.frontier) {
+                        offer(key, FaultEvent::Up { at: key.at });
+                        break;
+                    }
+                    *j += 1;
+                }
+            }
         }
+        if heals {
+            while let Some(&p) = plan.partition_by_end.get(self.heal) {
+                let key = EventKey {
+                    at: plan.partitions[p as usize].to,
+                    kind: KIND_HEAL,
+                    idx: self.heal as u32,
+                };
+                if key.is_after(&self.frontier) {
+                    offer(key, FaultEvent::PartitionEnd { at: key.at });
+                    break;
+                }
+                self.heal += 1;
+            }
+        }
+        let (key, ev) = best?;
+        if key.is_after(&EventKey::through(until)) {
+            return None;
+        }
+        self.frontier = key;
         Some(ev)
     }
 }
@@ -1106,7 +1239,7 @@ pub struct FaultTolerant<P> {
     plan: Arc<FaultPlan>,
     stats: FaultStats,
     lambda: f64,
-    cursor: EventCursor,
+    walk: FaultWalk,
     pending_replica: bool,
     bootstrapped: bool,
     /// Degraded-mode queue depth (pure accounting — deferred requests
@@ -1124,10 +1257,10 @@ impl<P> FaultTolerant<P> {
         let budget_left = plan.retry_budget();
         FaultTolerant {
             inner,
+            walk: FaultWalk::new(&plan),
             plan,
             stats: FaultStats::default(),
             lambda: 0.0,
-            cursor: EventCursor::default(),
             pending_replica: false,
             bootstrapped: false,
             queued: 0,
@@ -1154,8 +1287,8 @@ impl<P> FaultTolerant<P> {
     /// Mutable access to the wrapper's plan, so a caller can expand the
     /// next run's faults straight into the wrapper's buffers (no per-run
     /// plan clone). Swap plans only between runs: the wrapper walks the
-    /// plan's sorted windows and indexes through cursors that only `reset`
-    /// rewinds. A sole owner edits the plan in place; a shared plan is
+    /// plan's windows and indexes through cursors that only `reset`
+    /// rewinds and sizes. A sole owner edits the plan in place; a shared plan is
     /// copied first (`Arc::make_mut`).
     pub fn plan_mut(&mut self) -> &mut FaultPlan {
         Arc::make_mut(&mut self.plan)
@@ -1222,99 +1355,133 @@ impl<P> FaultTolerant<P> {
         ServeAction::Deferred
     }
 
-    /// Processes every crash/recovery/heal event at or before `until`.
+    /// Processes every crash/recovery/heal event at or before `until`
+    /// that can act, in the plan's event order, and passes the rest.
+    ///
+    /// What can act depends on the state the events leave behind, so it
+    /// is re-read before each step:
+    /// * a crash only acts on a server holding a copy;
+    /// * a recovery only acts during a total outage (`live == 0`), with a
+    ///   queue to drain, or with a replication pending on a sole copy;
+    /// * a heal only acts with a queue to drain and a copy to serve it.
+    ///
+    /// Every other event is a no-op, so skipping it leaves the state the
+    /// full walk would reach. With no recovery or heal wanted and `until`
+    /// before the onset bound, the call returns after one compare.
     fn advance_faults<S: Scalar>(&mut self, rt: &mut dyn CopyOps<S>, until: f64) {
-        while let Some(ev) = self.cursor.next_until(&self.plan, until) {
-            match ev {
-                FaultEvent::Up { at } => {
-                    if rt.live_copies() == 0 {
-                        // First recovery after a total outage: re-materialize
-                        // from durable storage on the lowest-indexed up
-                        // server (`λ` accounted in `reseed_cost`), then
-                        // replay the queue.
-                        let target = (0..rt.servers())
-                            .map(ServerId::from_index)
-                            .find(|&s| !self.plan.is_down(s, at));
-                        if let Some(dst) = target {
-                            rt.reseed(dst, S::from_f64(at));
-                            self.stats.reseeds += 1;
-                            self.stats.reseed_cost += self.lambda;
-                            self.drain_queue();
-                            self.ensure_redundancy(rt, S::from_f64(at), true);
-                        }
+        loop {
+            let live = rt.live_copies();
+            let ups = live == 0 || self.queued > 0 || (self.pending_replica && live == 1);
+            let heals = live > 0 && self.queued > 0;
+            if !ups && !heals && until < self.walk.next_onset {
+                break;
+            }
+            let crashing = rt.servers().min(self.walk.onset.len());
+            let open = (0..crashing)
+                .map(ServerId::from_index)
+                .filter(|&s| rt.is_open(s));
+            match self.walk.next_due(&self.plan, open, ups, heals, until) {
+                Some(ev) => self.apply(rt, ev),
+                None => break,
+            }
+        }
+        self.walk.pass_through(until);
+    }
+
+    /// Handles one crash, recovery or heal event.
+    fn apply<S: Scalar>(&mut self, rt: &mut dyn CopyOps<S>, ev: FaultEvent) {
+        match ev {
+            FaultEvent::Up { at } => {
+                if rt.live_copies() == 0 {
+                    // First recovery after a total outage: re-materialize
+                    // from durable storage on the lowest-indexed up
+                    // server (`λ` accounted in `reseed_cost`), then
+                    // replay the queue.
+                    let target = (0..rt.servers())
+                        .map(ServerId::from_index)
+                        .find(|&s| !self.plan.is_down(s, at));
+                    if let Some(dst) = target {
+                        rt.reseed(dst, S::from_f64(at));
+                        self.walk.opened(&self.plan, dst);
+                        self.stats.reseeds += 1;
+                        self.stats.reseed_cost += self.lambda;
+                        self.drain_queue();
+                        self.ensure_redundancy(rt, S::from_f64(at), true);
+                    }
+                } else {
+                    self.drain_queue();
+                    if self.pending_replica && rt.live_copies() == 1 {
+                        self.pending_replica = false;
+                        self.ensure_redundancy(rt, S::from_f64(at), false);
+                    }
+                }
+            }
+            FaultEvent::PartitionEnd { at: _ } => {
+                // Partition-deferred requests become servable once the
+                // partition heals (some copy is reachable again).
+                if rt.live_copies() > 0 {
+                    self.drain_queue();
+                }
+            }
+            FaultEvent::Down { server, at } => {
+                if !rt.is_open(server) {
+                    return;
+                }
+                let mut ct = S::from_f64(at);
+                if let Some(lt) = rt.last_touch(server) {
+                    ct = ct.max2(lt);
+                }
+                let mut evacuated = false;
+                if rt.live_copies() == 1 {
+                    // The sole copy is on the crashing server: evacuate
+                    // it in the instant before the crash takes hold, if
+                    // any up, reachable target exists. If the whole
+                    // cluster is going dark there is nowhere to go and
+                    // the wrapper enters degraded mode instead.
+                    let target = (0..rt.servers()).map(ServerId::from_index).find(|&s| {
+                        s != server
+                            && !self.plan.is_down(s, at)
+                            && !self.plan.partitioned(server, s, at)
+                    });
+                    if let Some(dst) = target {
+                        self.charge_transfer(server, dst, ct.to_f64());
+                        rt.transfer(server, dst, ct);
+                        self.walk.opened(&self.plan, dst);
+                        self.stats.emergency_replications += 1;
+                        evacuated = true;
+                    }
+                }
+                rt.close(server, ct);
+                self.stats.copies_lost += 1;
+                if rt.live_copies() == 0 {
+                    // Evacuation found no reachable target (every up
+                    // server sits across an active partition), yet the
+                    // cluster is not fully dark: reseed from durable
+                    // storage immediately — it needs no transfer edge,
+                    // so the partition cannot block it. This keeps the
+                    // invariant that `live == 0` holds exactly during
+                    // total outages.
+                    let target = (0..rt.servers())
+                        .map(ServerId::from_index)
+                        .find(|&s| !self.plan.is_down(s, at));
+                    if let Some(dst) = target {
+                        rt.reseed(dst, ct);
+                        self.walk.opened(&self.plan, dst);
+                        self.stats.reseeds += 1;
+                        self.stats.reseed_cost += self.lambda;
+                        self.drain_queue();
+                        self.ensure_redundancy(rt, ct, true);
+                    }
+                } else if rt.live_copies() == 1 {
+                    self.stats.copy_loss_windows += 1;
+                    if evacuated {
+                        // The survivor was created this very instant; it
+                        // cannot legally source another transfer at the
+                        // same time (no same-instant relay chains), so
+                        // the second replica waits for the next event.
+                        self.pending_replica = true;
                     } else {
-                        self.drain_queue();
-                        if self.pending_replica && rt.live_copies() == 1 {
-                            self.pending_replica = false;
-                            self.ensure_redundancy(rt, S::from_f64(at), false);
-                        }
-                    }
-                }
-                FaultEvent::PartitionEnd { at: _ } => {
-                    // Partition-deferred requests become servable once the
-                    // partition heals (some copy is reachable again).
-                    if rt.live_copies() > 0 {
-                        self.drain_queue();
-                    }
-                }
-                FaultEvent::Down { server, at } => {
-                    if !rt.is_open(server) {
-                        continue;
-                    }
-                    let mut ct = S::from_f64(at);
-                    if let Some(lt) = rt.last_touch(server) {
-                        ct = ct.max2(lt);
-                    }
-                    let mut evacuated = false;
-                    if rt.live_copies() == 1 {
-                        // The sole copy is on the crashing server: evacuate
-                        // it in the instant before the crash takes hold, if
-                        // any up, reachable target exists. If the whole
-                        // cluster is going dark there is nowhere to go and
-                        // the wrapper enters degraded mode instead.
-                        let target = (0..rt.servers()).map(ServerId::from_index).find(|&s| {
-                            s != server
-                                && !self.plan.is_down(s, at)
-                                && !self.plan.partitioned(server, s, at)
-                        });
-                        if let Some(dst) = target {
-                            self.charge_transfer(server, dst, ct.to_f64());
-                            rt.transfer(server, dst, ct);
-                            self.stats.emergency_replications += 1;
-                            evacuated = true;
-                        }
-                    }
-                    rt.close(server, ct);
-                    self.stats.copies_lost += 1;
-                    if rt.live_copies() == 0 {
-                        // Evacuation found no reachable target (every up
-                        // server sits across an active partition), yet the
-                        // cluster is not fully dark: reseed from durable
-                        // storage immediately — it needs no transfer edge,
-                        // so the partition cannot block it. This keeps the
-                        // invariant that `live == 0` holds exactly during
-                        // total outages.
-                        let target = (0..rt.servers())
-                            .map(ServerId::from_index)
-                            .find(|&s| !self.plan.is_down(s, at));
-                        if let Some(dst) = target {
-                            rt.reseed(dst, ct);
-                            self.stats.reseeds += 1;
-                            self.stats.reseed_cost += self.lambda;
-                            self.drain_queue();
-                            self.ensure_redundancy(rt, ct, true);
-                        }
-                    } else if rt.live_copies() == 1 {
-                        self.stats.copy_loss_windows += 1;
-                        if evacuated {
-                            // The survivor was created this very instant; it
-                            // cannot legally source another transfer at the
-                            // same time (no same-instant relay chains), so
-                            // the second replica waits for the next event.
-                            self.pending_replica = true;
-                        } else {
-                            self.ensure_redundancy(rt, ct, false);
-                        }
+                        self.ensure_redundancy(rt, ct, false);
                     }
                 }
             }
@@ -1358,6 +1525,7 @@ impl<P> FaultTolerant<P> {
             Some(dst) => {
                 self.charge_transfer(holder, dst, at.to_f64());
                 rt.transfer(holder, dst, at);
+                self.walk.opened(&self.plan, dst);
                 self.stats.emergency_replications += 1;
             }
         }
@@ -1378,33 +1546,26 @@ impl<P> FaultTolerant<P> {
     }
 }
 
-impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
-    fn name(&self) -> String {
-        format!("{}+ft", self.inner.name())
-    }
-
-    fn reset(&mut self, servers: usize, cost: &CostModel<S>) {
-        self.inner.reset(servers, cost);
-        self.stats = FaultStats::default();
-        self.lambda = cost.lambda.to_f64();
-        self.cursor = EventCursor::default();
-        self.pending_replica = false;
-        self.bootstrapped = false;
-        self.queued = 0;
-        self.budget_left = self.plan.retry_budget();
-    }
-
-    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
-        let (t, server) = (req.time, req.server);
+impl<P> FaultTolerant<P> {
+    /// Insurance from the start, once per run: the origin's sole initial
+    /// copy is one crash away from extinction.
+    fn bootstrap<S: Scalar>(&mut self, rt: &mut dyn CopyOps<S>) {
         if !self.bootstrapped {
             self.bootstrapped = true;
             if self.plan.has_crashes() {
-                // Insurance from the start: the origin's sole initial copy
-                // is one crash away from extinction.
                 self.ensure_redundancy(rt, S::ZERO, false);
             }
         }
-        self.advance_faults(rt, t.to_f64());
+    }
+
+    /// Serves `req` once the fault events up to its instant are applied:
+    /// defers it when no copy can serve it, else hands it to the inner
+    /// policy through the mediating view.
+    fn serve<S: Scalar>(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S>
+    where
+        P: OnlineDecider<S>,
+    {
+        let (t, server) = (req.time, req.server);
         if rt.live_copies() == 0 {
             // Total outage: no copy anywhere, nothing to serve from. Defer
             // into the degraded-mode queue until first recovery.
@@ -1415,11 +1576,12 @@ impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
             // transfer is illegal, so the request waits for the heal.
             return Decision::new(req, self.defer(true));
         }
-        // Split borrows: the mediator takes the plan and counters, the
-        // inner policy drives it.
+        // Split borrows: the mediator takes the plan, walk and counters,
+        // the inner policy drives it.
         let mut view = FaultView {
             rt,
             plan: &self.plan,
+            walk: &mut self.walk,
             stats: &mut self.stats,
             lambda: self.lambda,
             budget_left: &mut self.budget_left,
@@ -1427,25 +1589,53 @@ impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
         self.inner.observe(req, &mut view)
     }
 
-    /// Mirrors [`OnlineDecider::observe`]'s fault handling without
-    /// serving anything: bootstrap insurance, fault events up to `now`,
-    /// then the inner decider's sweep through the mediating view.
-    fn expire(&mut self, now: S, rt: &mut dyn CopyOps<S>) {
-        if !self.bootstrapped {
-            self.bootstrapped = true;
-            if self.plan.has_crashes() {
-                self.ensure_redundancy(rt, S::ZERO, false);
-            }
-        }
-        self.advance_faults(rt, now.to_f64());
+    /// The inner policy's expiry sweep at `now`, through the mediating
+    /// view.
+    fn sweep<S: Scalar>(&mut self, now: S, rt: &mut dyn CopyOps<S>)
+    where
+        P: OnlineDecider<S>,
+    {
         let mut view = FaultView {
             rt,
             plan: &self.plan,
+            walk: &mut self.walk,
             stats: &mut self.stats,
             lambda: self.lambda,
             budget_left: &mut self.budget_left,
         };
         self.inner.expire(now, &mut view);
+    }
+}
+
+impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
+    fn name(&self) -> String {
+        format!("{}+ft", self.inner.name())
+    }
+
+    fn reset(&mut self, servers: usize, cost: &CostModel<S>) {
+        self.inner.reset(servers, cost);
+        self.stats = FaultStats::default();
+        self.lambda = cost.lambda.to_f64();
+        self.walk.reset(&self.plan);
+        self.pending_replica = false;
+        self.bootstrapped = false;
+        self.queued = 0;
+        self.budget_left = self.plan.retry_budget();
+    }
+
+    fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+        self.bootstrap(rt);
+        self.advance_faults(rt, req.time.to_f64());
+        self.serve(req, rt)
+    }
+
+    /// Mirrors [`OnlineDecider::observe`]'s fault handling without
+    /// serving anything: bootstrap insurance, fault events up to `now`,
+    /// then the inner decider's sweep through the mediating view.
+    fn expire(&mut self, now: S, rt: &mut dyn CopyOps<S>) {
+        self.bootstrap(rt);
+        self.advance_faults(rt, now.to_f64());
+        self.sweep(now, rt);
     }
 
     /// Always `None`: injected fault events are applied in *request*
@@ -1482,6 +1672,7 @@ impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for FaultTolerant<P> {
 struct FaultView<'a, S> {
     rt: &'a mut dyn CopyOps<S>,
     plan: &'a FaultPlan,
+    walk: &'a mut FaultWalk,
     stats: &'a mut FaultStats,
     lambda: f64,
     budget_left: &'a mut u32,
@@ -1500,6 +1691,19 @@ impl<S: Scalar> FaultView<'_, S> {
         self.stats.total_delay += self.plan.delay_for(src, dst, t);
     }
 
+    /// Transfers `src → dst` and notes the new copy with the walk; a copy
+    /// landing on a down server serves a remote read and is dropped on
+    /// arrival.
+    fn open(&mut self, src: ServerId, dst: ServerId, t: S) {
+        self.rt.transfer(src, dst, t);
+        if self.walk.is_down(self.plan, dst, t.to_f64()) {
+            self.rt.close(dst, t);
+            self.stats.down_serves += 1;
+        } else {
+            self.walk.opened(self.plan, dst);
+        }
+    }
+
     /// Delivers a copy to `dst` from the best legal live source; degrades
     /// to a serve-and-drop when `dst` is down. No-op when no source is
     /// reachable (the wrapper defers requests in that state before the
@@ -1510,12 +1714,7 @@ impl<S: Scalar> FaultView<'_, S> {
             None => return,
         };
         self.charge(src, dst, t.to_f64());
-        self.rt.transfer(src, dst, t);
-        if self.plan.is_down(dst, t.to_f64()) {
-            // The server can't hold the copy: remote read, drop on arrival.
-            self.rt.close(dst, t);
-            self.stats.down_serves += 1;
-        }
+        self.open(src, dst, t);
     }
 }
 
@@ -1551,15 +1750,11 @@ impl<S: Scalar> CopyOps<S> for FaultView<'_, S> {
             return;
         }
         if self.rt.is_open(src)
-            && !self.plan.is_down(src, t.to_f64())
+            && !self.walk.is_down(self.plan, src, t.to_f64())
             && !self.plan.partitioned(src, dst, t.to_f64())
         {
             self.charge(src, dst, t.to_f64());
-            self.rt.transfer(src, dst, t);
-            if self.plan.is_down(dst, t.to_f64()) {
-                self.rt.close(dst, t);
-                self.stats.down_serves += 1;
-            }
+            self.open(src, dst, t);
         } else {
             // Lost, down, or partition-severed source: fail over.
             self.stats.failovers += 1;
@@ -1569,7 +1764,8 @@ impl<S: Scalar> CopyOps<S> for FaultView<'_, S> {
 
     fn reseed(&mut self, server: ServerId, t: S) {
         // Inner policies never reseed; pass through for completeness.
-        self.rt.reseed(server, t)
+        self.rt.reseed(server, t);
+        self.walk.opened(self.plan, server);
     }
 
     fn close(&mut self, server: ServerId, t: S) {
@@ -1995,8 +2191,7 @@ mod tests {
     fn is_down_scan(plan: &FaultPlan, server: ServerId, t: f64) -> bool {
         plan.crashes()
             .iter()
-            .take_while(|w| w.from <= t)
-            .any(|w| w.server == server && t < w.to)
+            .any(|w| w.server == server && w.from <= t && t < w.to)
     }
 
     fn next_crash_after_scan(plan: &FaultPlan, server: ServerId, t: f64) -> Option<f64> {
@@ -2059,9 +2254,8 @@ mod tests {
         sur
     }
 
-    /// The former normalization: sort by (server, from, to), merge
-    /// overlapping or touching same-server windows, sort by (from,
-    /// server, to).
+    /// The normalization spelled out: sort by (server, from, to), then
+    /// merge overlapping or touching same-server windows.
     fn coalesce_scan(mut crashes: Vec<CrashWindow>) -> Vec<CrashWindow> {
         crashes.sort_by(|a, b| {
             a.server
@@ -2078,19 +2272,14 @@ mod tests {
                 _ => out.push(cur),
             }
         }
-        out.sort_by(|a, b| {
-            a.from
-                .total_cmp(&b.from)
-                .then(a.server.cmp(&b.server))
-                .then(a.to.total_cmp(&b.to))
-        });
         out
     }
 
-    /// The two-sort normalization the by-server merge replaced: coalesce
-    /// in (server, from) order, key-sort the positions into plan order,
-    /// permute the windows there, then key-sort plan positions into
-    /// by-end order. Returns the plan-order windows and the by-end order.
+    /// The two global crash orders by sorting, an oracle for the merges
+    /// that built them: coalesce in (server, from) order, key-sort the
+    /// positions into (onset, server) order, permute the windows there,
+    /// then key-sort those positions into (recovery, server) order.
+    /// Returns the windows in both orders.
     fn normalize_two_sort(mut crashes: Vec<CrashWindow>) -> (Vec<CrashWindow>, Vec<CrashWindow>) {
         crashes.retain(|w| valid_window(w.from, w.to));
         crashes.sort_unstable_by(|a, b| {
@@ -2124,18 +2313,165 @@ mod tests {
         (plan, by_end)
     }
 
-    /// The plan's by-end index as windows, read back through its
-    /// by-server layout.
-    fn by_end_windows(plan: &FaultPlan) -> Vec<CrashWindow> {
-        let start = &plan.crash_start;
-        plan.crash_by_end
-            .iter()
-            .map(|&j| CrashWindow {
-                server: ServerId::from_index(start.partition_point(|&b| b <= j) - 1),
-                from: plan.crash_onsets[j as usize],
-                to: plan.crash_recoveries[j as usize],
-            })
-            .collect()
+    /// Orders `x` like [`f64::total_cmp`] when compared as an unsigned
+    /// integer.
+    fn total_key(x: f64) -> u64 {
+        let bits = x.to_bits();
+        if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        }
+    }
+
+    /// The m-way heap merge that built the plan's former global orders:
+    /// the per-server runs merged by `(total_key(key(w)), server)`. Each
+    /// server's onsets and recoveries are strictly ascending, so either
+    /// key merges its runs.
+    fn merge_runs(plan: &FaultPlan, key: impl Fn(&CrashWindow) -> f64) -> Vec<CrashWindow> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let (start, crashes) = (&plan.crash_start, &plan.crashes);
+        let mut heap = BinaryHeap::new();
+        for (s, run) in start.windows(2).enumerate() {
+            if run[0] < run[1] {
+                let j = run[0];
+                heap.push(Reverse((total_key(key(&crashes[j as usize])), s as u32, j)));
+            }
+        }
+        let mut out = Vec::new();
+        while let Some(Reverse((_, s, j))) = heap.pop() {
+            out.push(crashes[j as usize]);
+            let next = j + 1;
+            if next < start[s as usize + 1] {
+                heap.push(Reverse((total_key(key(&crashes[next as usize])), s, next)));
+            }
+        }
+        out
+    }
+
+    /// The plan's former global crash orders: windows by (onset, server)
+    /// and by (recovery, server).
+    struct PlanOrders {
+        by_onset: Vec<CrashWindow>,
+        by_end: Vec<CrashWindow>,
+    }
+
+    fn plan_orders(plan: &FaultPlan) -> PlanOrders {
+        PlanOrders {
+            by_onset: merge_runs(plan, |w| w.from),
+            by_end: merge_runs(plan, |w| w.to),
+        }
+    }
+
+    /// The wrapper's former walk: one cursor per globally sorted stream
+    /// (onsets, recoveries, heals), visiting every event in (instant,
+    /// Up < PartitionEnd < Down, plan order) order.
+    #[derive(Copy, Clone, Debug, Default)]
+    struct EventCursor {
+        down: usize,
+        up: usize,
+        heal: usize,
+    }
+
+    impl EventCursor {
+        /// Consumes and returns the next event if it falls at or before
+        /// `until`.
+        fn next_until(
+            &mut self,
+            orders: &PlanOrders,
+            plan: &FaultPlan,
+            until: f64,
+        ) -> Option<FaultEvent> {
+            let up = orders
+                .by_end
+                .get(self.up)
+                .map(|w| FaultEvent::Up { at: w.to });
+            let heal = plan
+                .partition_by_end
+                .get(self.heal)
+                .map(|&p| FaultEvent::PartitionEnd {
+                    at: plan.partitions[p as usize].to,
+                });
+            let down = orders.by_onset.get(self.down).map(|w| FaultEvent::Down {
+                server: w.server,
+                at: w.from,
+            });
+            let mut next: Option<FaultEvent> = None;
+            // Strict `<` keeps the earlier kind on ties: the array is in
+            // kind order.
+            for ev in [up, heal, down].into_iter().flatten() {
+                if next.is_none_or(|n| ev.at().total_cmp(&n.at()).is_lt()) {
+                    next = Some(ev);
+                }
+            }
+            let ev = next.filter(|ev| ev.at() <= until)?;
+            match ev {
+                FaultEvent::Up { .. } => self.up += 1,
+                FaultEvent::PartitionEnd { .. } => self.heal += 1,
+                FaultEvent::Down { .. } => self.down += 1,
+            }
+            Some(ev)
+        }
+    }
+
+    impl FaultEvent {
+        fn at(&self) -> f64 {
+            match *self {
+                FaultEvent::Up { at }
+                | FaultEvent::PartitionEnd { at }
+                | FaultEvent::Down { at, .. } => at,
+            }
+        }
+    }
+
+    /// The wrapper as it ran before the per-server walk: the same
+    /// handlers, fed every event of the plan through [`EventCursor`].
+    struct Oracle<P> {
+        ft: FaultTolerant<P>,
+        orders: PlanOrders,
+        cursor: EventCursor,
+    }
+
+    impl<P> Oracle<P> {
+        fn new(inner: P, plan: FaultPlan) -> Self {
+            Oracle {
+                orders: plan_orders(&plan),
+                ft: FaultTolerant::new(inner, plan),
+                cursor: EventCursor::default(),
+            }
+        }
+
+        fn advance<S: Scalar>(&mut self, rt: &mut dyn CopyOps<S>, until: f64) {
+            self.ft.bootstrap(rt);
+            while let Some(ev) = self.cursor.next_until(&self.orders, &self.ft.plan, until) {
+                self.ft.apply(rt, ev);
+            }
+        }
+    }
+
+    impl<S: Scalar, P: OnlineDecider<S>> OnlineDecider<S> for Oracle<P> {
+        fn name(&self) -> String {
+            self.ft.name()
+        }
+        fn reset(&mut self, servers: usize, cost: &CostModel<S>) {
+            self.ft.reset(servers, cost);
+            self.cursor = EventCursor::default();
+        }
+        fn observe(&mut self, req: Request<S>, rt: &mut dyn CopyOps<S>) -> Decision<S> {
+            self.advance(rt, req.time.to_f64());
+            self.ft.serve(req, rt)
+        }
+        fn expire(&mut self, now: S, rt: &mut dyn CopyOps<S>) {
+            self.advance(rt, now.to_f64());
+            self.ft.sweep(now, rt);
+        }
+        fn close_time(&self, server: ServerId, last_touch: S, horizon: S) -> S {
+            self.ft.close_time(server, last_touch, horizon)
+        }
+        fn on_finish(&mut self) {
+            OnlineDecider::<S>::on_finish(&mut self.ft);
+        }
     }
 
     /// The sorted onset/recovery event list with per-server depth counts.
@@ -2191,6 +2527,7 @@ mod tests {
         };
         let mut events = Vec::new();
         for w in plan.crashes() {
+            // Pushed by server; the sort puts them in event order.
             events.push(FaultEvent::Down {
                 server: w.server,
                 at: w.from,
@@ -2266,8 +2603,16 @@ mod tests {
                 let factor = prop_oneof![Just(0.5), Just(1.5), Just(2.0), Just(3.0)];
                 (0..M, instant(), span(), factor)
             });
-            (crashes, partitions, brownouts).prop_map(|(c, p, b)| {
-                FaultPlan::new(c, 1, 0.0, 0, 0.0)
+            // Small queue caps make deferrals drop; failing transfers draw
+            // retries against small budgets.
+            let knobs = (
+                prop_oneof![Just(0u32), Just(1), Just(2), Just(64)],
+                prop_oneof![Just(0.0), Just(0.3)],
+                prop_oneof![Just(0u32), Just(3), Just(64)],
+            );
+            (crashes, partitions, brownouts, knobs).prop_map(|(c, p, b, (cap, fail, budget))| {
+                FaultPlan::new(c, 1, fail, budget, 0.0)
+                    .with_queue_cap(cap)
                     .with_partitions(
                         p.into_iter()
                             .map(|(from, len, mask)| PartitionWindow {
@@ -2288,6 +2633,97 @@ mod tests {
                             .collect(),
                     )
             })
+        }
+
+        /// Requests for the lockstep walk, strictly increasing in time:
+        /// mostly on the plan's half-unit grid, so they tie with window
+        /// edges, sometimes off it. Each is flagged for an expiry sweep at
+        /// its instant before it is observed.
+        fn random_requests() -> impl Strategy<Value = Vec<(usize, f64, bool)>> {
+            let at = || {
+                let grid = || (1u32..26).prop_map(|k| 0.5 * k as f64);
+                prop_oneof![grid(), grid(), 0.01f64..13.0]
+            };
+            up_to(48, move || (0..M, at(), (0u8..3).prop_map(|k| k == 0))).prop_map(|mut r| {
+                r.sort_by(|a, b| a.1.total_cmp(&b.1));
+                r.dedup_by(|a, b| a.1 == b.1);
+                r
+            })
+        }
+
+        /// Drives `P` under the per-server walk and under [`Oracle`] (the
+        /// former walk over every event) with the same requests, and
+        /// compares decisions, the runtime's records and transfers, and the
+        /// fault counters after every step and after finalization.
+        fn lockstep<S: Scalar, P: OnlineDecider<S>>(
+            make: impl Fn() -> P,
+            plan: &FaultPlan,
+            requests: &[(usize, f64, bool)],
+        ) -> Result<(), TestCaseError> {
+            let cost = CostModel::<S>::unit();
+            let mut new = FaultTolerant::new(make(), plan.clone());
+            let mut old = Oracle::new(make(), plan.clone());
+            let (mut rt_new, mut rt_old) = (Runtime::<S>::new(M), Runtime::<S>::new(M));
+            new.reset(M, &cost);
+            old.reset(M, &cost);
+            let mut last = S::ZERO;
+            for (i, &(server, t, sweep)) in requests.iter().enumerate() {
+                let t = S::from_f64(t);
+                if t <= last {
+                    continue; // collided after conversion
+                }
+                last = t;
+                if sweep {
+                    new.expire(t, &mut rt_new);
+                    old.expire(t, &mut rt_old);
+                }
+                let req = Request::new(ServerId::from_index(server), t);
+                let (a, b) = (new.observe(req, &mut rt_new), old.observe(req, &mut rt_old));
+                prop_assert_eq!(a, b, "decision {}", i);
+                prop_assert_eq!(
+                    &rt_new.record().records,
+                    &rt_old.record().records,
+                    "records {}",
+                    i
+                );
+                prop_assert_eq!(
+                    &rt_new.record().transfers,
+                    &rt_old.record().transfers,
+                    "transfers {}",
+                    i
+                );
+                prop_assert_eq!(new.stats(), old.ft.stats(), "stats {}", i);
+            }
+            OnlineDecider::<S>::on_finish(&mut new);
+            OnlineDecider::<S>::on_finish(&mut old);
+            let horizon = last + S::from_f64(1.0);
+            let a = crate::online::executor::finalize_record(
+                &new,
+                &mut rt_new,
+                requests.len(),
+                horizon,
+            );
+            let b = crate::online::executor::finalize_record(
+                &old,
+                &mut rt_old,
+                requests.len(),
+                horizon,
+            );
+            prop_assert_eq!(&a.records, &b.records);
+            prop_assert_eq!(&a.transfers, &b.transfers);
+            prop_assert_eq!(new.stats(), old.ft.stats());
+            Ok(())
+        }
+
+        fn lockstep_all<S: Scalar>(
+            plan: &FaultPlan,
+            requests: &[(usize, f64, bool)],
+        ) -> Result<(), TestCaseError> {
+            use crate::online::baselines::{Follow, KeepEverywhere, StayAtOrigin};
+            lockstep::<S, _>(SpeculativeCaching::<S>::paper, plan, requests)?;
+            lockstep::<S, _>(Follow::new, plan, requests)?;
+            lockstep::<S, _>(StayAtOrigin::new, plan, requests)?;
+            lockstep::<S, _>(KeepEverywhere::new, plan, requests)
         }
 
         /// Every window edge, nudged by `1 ± 1e-9`, plus a few fixed
@@ -2323,9 +2759,27 @@ mod tests {
                     c.iter().map(|w| (w.server.0, w.from.to_bits(), w.to.to_bits())).collect()
                 };
                 prop_assert_eq!(bits(plan.crashes()), bits(&coalesce_scan(raw.clone())));
+                // The by-server runs and the latest onset read the same
+                // windows.
+                let runs: Vec<CrashWindow> = plan.crash_runs().flatten().copied().collect();
+                prop_assert_eq!(bits(&runs), bits(plan.crashes()));
+                for s in 0..18 {
+                    let a = ServerId::from_index(s);
+                    let own: Vec<CrashWindow> =
+                        plan.crashes().iter().filter(|w| w.server == a).copied().collect();
+                    prop_assert_eq!(bits(plan.server_windows(a)), bits(&own), "server {}", s);
+                }
+                let latest = plan.crashes().iter().map(|w| w.from).max_by(f64::total_cmp);
+                prop_assert_eq!(
+                    plan.last_crash_start().to_bits(),
+                    latest.unwrap_or(f64::NEG_INFINITY).to_bits()
+                );
+                // The test-only merges rebuild the two global orders the
+                // plan used to store.
                 let (order, by_end) = normalize_two_sort(raw);
-                prop_assert_eq!(bits(plan.crashes()), bits(&order), "plan order");
-                prop_assert_eq!(bits(&by_end_windows(&plan)), bits(&by_end), "by-end order");
+                let orders = plan_orders(&plan);
+                prop_assert_eq!(bits(&orders.by_onset), bits(&order), "onset order");
+                prop_assert_eq!(bits(&orders.by_end), bits(&by_end), "by-end order");
             }
 
             #[test]
@@ -2417,18 +2871,30 @@ mod tests {
 
             #[test]
             fn cursors_replay_the_sorted_event_list(plan in random_plan()) {
+                // The oracle walk itself: its cursors over the test-only
+                // merges visit exactly the sorted event list.
                 let oracle = sorted_events(&plan);
+                let orders = plan_orders(&plan);
                 let mut cursor = EventCursor::default();
                 let mut seen = Vec::new();
                 let mut untils = query_instants(&plan);
                 untils.push(f64::INFINITY);
                 for until in untils {
-                    while let Some(ev) = cursor.next_until(&plan, until) {
+                    while let Some(ev) = cursor.next_until(&orders, &plan, until) {
                         seen.push(ev);
                     }
                     let due = oracle.iter().take_while(|e| e.at() <= until).count();
                     prop_assert_eq!(&seen[..], &oracle[..due], "until {}", until);
                 }
+            }
+
+            #[test]
+            fn walk_matches_the_every_event_oracle_in_lockstep(
+                plan in random_plan(),
+                requests in random_requests(),
+            ) {
+                lockstep_all::<f64>(&plan, &requests)?;
+                lockstep_all::<mcc_model::Fixed>(&plan, &requests)?;
             }
         }
     }

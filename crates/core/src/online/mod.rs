@@ -34,7 +34,7 @@ pub use fault::{
     brownout_surcharge, BrownoutFold, BrownoutWindow, CrashWindow, FaultPlan, FaultStats,
     FaultTolerant, PartitionWindow, RetryDraw,
 };
-pub use reduction::{analyze, ReductionReport};
+pub use reduction::{analyze, try_analyze, AnalyzeError, ReductionReport};
 pub use sc::SpeculativeCaching;
 pub use tracker::{
     sort_tie_runs, CopyOps, CopyRecord, RecordFold, RunRecord, Runtime, TransferRecord,

@@ -137,19 +137,56 @@ impl<S: Scalar> ReductionReport<S> {
     }
 }
 
+/// Why [`try_analyze`] refuses a run.
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum AnalyzeError {
+    /// An epoch reset at `at`, strictly before the last request: it breaks
+    /// the σ/SR correspondence between the online run and the off-line
+    /// optimum, which voids the Theorem 3 chain (see module docs).
+    MidSequenceEpoch {
+        /// The first such reset instant.
+        at: f64,
+    },
+}
+
+impl std::fmt::Display for AnalyzeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            AnalyzeError::MidSequenceEpoch { at } => write!(
+                f,
+                "the reduction analysis needs a single-epoch run, but an epoch \
+                 reset at t={at} precedes the last request"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AnalyzeError {}
+
 /// Runs the full reduction analysis: off-line optimum via the O(mn) DP,
 /// V-/H-reductions from the instance structure, bounds from Lemmas 7–8.
+///
+/// # Panics
+///
+/// Panics on a run [`try_analyze`] refuses.
 pub fn analyze<S: Scalar>(inst: &Instance<S>, run: &OnlineRun<S>) -> ReductionReport<S> {
-    // The chain is only sound for (effectively) single-epoch runs: a reset
-    // strictly before the last request breaks the σ/SR correspondence
-    // between the online run and the off-line optimum (see module docs).
+    match try_analyze(inst, run) {
+        Ok(report) => report,
+        Err(e) => panic!("analyze(): {e}"),
+    }
+}
+
+/// [`analyze`] with a typed error for runs the chain cannot certify: the
+/// chain is only sound for (effectively) single-epoch runs.
+pub fn try_analyze<S: Scalar>(
+    inst: &Instance<S>,
+    run: &OnlineRun<S>,
+) -> Result<ReductionReport<S>, AnalyzeError> {
     if inst.n() > 0 {
         let last = inst.t(inst.n());
-        assert!(
-            run.record.epoch_boundaries.iter().all(|b| !(*b < last)),
-            "analyze() requires a single-epoch run; mid-sequence epoch \
-             resets void the Theorem 3 chain (see module docs)"
-        );
+        if let Some(b) = run.record.epoch_boundaries.iter().find(|&&b| b < last) {
+            return Err(AnalyzeError::MidSequenceEpoch { at: b.to_f64() });
+        }
     }
     let scan = mcc_model::Prescan::compute(inst);
     let cost = inst.cost();
@@ -201,7 +238,7 @@ pub fn analyze<S: Scalar>(inst: &Instance<S>, run: &OnlineRun<S>) -> ReductionRe
     let sc_cost = run.total_cost;
     let opt_cost = optimal_cost(inst);
     let np = S::from_f64(n_prime as f64);
-    ReductionReport {
+    Ok(ReductionReport {
         sc_cost,
         opt_cost,
         n_prime,
@@ -212,7 +249,7 @@ pub fn analyze<S: Scalar>(inst: &Instance<S>, run: &OnlineRun<S>) -> ReductionRe
         dt_bound: S::from_f64(3.0).mul(np).mul(lambda) + lambda,
         opt_bound: np.mul(lambda),
         sigma_prime_cost,
-    }
+    })
 }
 
 #[cfg(test)]

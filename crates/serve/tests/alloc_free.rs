@@ -2,7 +2,8 @@
 //!
 //! * a warm item's requests perform **zero** heap allocations;
 //! * a warm `finish` followed by admitting a new item into the freed slot
-//!   performs zero heap allocations;
+//!   performs zero heap allocations, also under a crash plan, where each
+//!   slot's fault wrapper reuses its event-walk buffers;
 //! * an item that is never finished holds the same live heap after 200k
 //!   requests as after 20k (within 4 KiB): closed records are folded and
 //!   dropped as they settle, not kept until `finish`.
@@ -15,8 +16,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-use mcc_core::online::SpeculativeCaching;
-use mcc_model::CostModel;
+use mcc_core::online::{CrashWindow, FaultPlan, SpeculativeCaching};
+use mcc_model::{CostModel, ServerId};
 use mcc_serve::{ServeConfig, ServeEngine, ServeReply};
 use mcc_simnet::factory;
 
@@ -64,10 +65,41 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn engine() -> ServeEngine<'static> {
+    engine_with(FaultPlan::none())
+}
+
+fn engine_with(plan: FaultPlan) -> ServeEngine<'static> {
     ServeEngine::new(
-        ServeConfig::new(4, CostModel::unit()),
+        ServeConfig::new(4, CostModel::unit()).with_plan(plan),
         factory(SpeculativeCaching::paper()),
     )
+}
+
+/// Servers 1 and 3 each down for one time unit in every ten, never
+/// together: crashes, failovers and recoveries, but no total outage.
+fn crash_plan() -> FaultPlan {
+    let windows = (0..2_000)
+        .flat_map(|j| {
+            let t = 10.0 * j as f64;
+            [(1, t + 2.0), (3, t + 7.0)].map(|(s, from)| CrashWindow {
+                server: ServerId(s),
+                from,
+                to: from + 1.0,
+            })
+        })
+        .collect();
+    FaultPlan::new(windows, 1, 0.0, 0, 0.0)
+}
+
+/// Finishes item `from - 1` and serves eight requests of each item in
+/// `from..to`, finishing each before the next.
+fn churn(e: &mut ServeEngine<'_>, p: &mut Probe, from: u64, to: u64) {
+    for item in from..to {
+        assert!(e.finish(item - 1).is_some());
+        for _ in 0..8 {
+            p.step(e, item);
+        }
+    }
 }
 
 /// The probe shape: one item requested on servers 0..3 in turn, every
@@ -100,25 +132,30 @@ fn warm_serving_allocates_nothing_and_item_state_stays_bounded() {
     let events = EVENTS.swap(0, Ordering::SeqCst);
     assert_eq!(events, 0, "warm requests allocated ({events} events)");
 
-    // Warm finish + re-admission into the freed slot.
-    for item in 2..10 {
-        assert!(e.finish(item - 1).is_some());
-        for _ in 0..8 {
-            p.step(&mut e, item);
-        }
-    }
+    // Warm finish + re-admission into the freed slot, without and with
+    // a crash plan.
+    churn(&mut e, &mut p, 2, 10);
     ARMED.store(true, Ordering::SeqCst);
-    for item in 10..50 {
-        assert!(e.finish(item - 1).is_some());
-        for _ in 0..8 {
-            p.step(&mut e, item);
-        }
-    }
+    churn(&mut e, &mut p, 10, 50);
     ARMED.store(false, Ordering::SeqCst);
     let events = EVENTS.swap(0, Ordering::SeqCst);
     assert_eq!(
         events, 0,
         "warm finish + re-admission allocated ({events} events)"
+    );
+    let mut e = engine_with(crash_plan());
+    let mut p = Probe { k: 0 };
+    for _ in 0..8 {
+        p.step(&mut e, 1);
+    }
+    churn(&mut e, &mut p, 2, 10);
+    ARMED.store(true, Ordering::SeqCst);
+    churn(&mut e, &mut p, 10, 50);
+    ARMED.store(false, Ordering::SeqCst);
+    let events = EVENTS.swap(0, Ordering::SeqCst);
+    assert_eq!(
+        events, 0,
+        "warm finish + re-admission under a crash plan allocated ({events} events)"
     );
     drop(e);
 

@@ -56,9 +56,11 @@ pub(crate) fn eq_tol(tol: f64, a: f64, b: f64) -> bool {
 /// the origin's initial copy at `t = 0`.
 ///
 /// `outages` is sorted and disjoint (as
-/// [`FaultPlan::total_outages_into`] builds it) and the plan's crashes are
-/// sorted by onset, so both are binary-searched for the band of instants
-/// within tolerance of `from`; the exact `eq_tol` test then decides.
+/// [`FaultPlan::total_outages_into`] builds it) and each server's crash
+/// windows are sorted by onset, so each is binary-searched for the band of
+/// instants within tolerance of `from`; the exact `eq_tol` test then
+/// decides. The onset clause needs an active partition, so a plan without
+/// partitions skips it.
 pub(crate) fn grounded_start(
     tol: f64,
     plan: &FaultPlan,
@@ -67,15 +69,16 @@ pub(crate) fn grounded_start(
 ) -> bool {
     let (lo, hi) = tol_band(tol, from);
     let ends = &outages[outages.partition_point(|w| w.1 < lo)..];
-    let crashes = plan.crashes();
-    let onsets = &crashes[crashes.partition_point(|c| c.from < lo)..];
     ends.iter()
         .take_while(|w| w.1 <= hi)
         .any(|w| eq_tol(tol, from, w.1))
-        || onsets
-            .iter()
-            .take_while(|c| c.from <= hi)
-            .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
+        || (!plan.partitions().is_empty()
+            && plan.crash_runs().any(|run| {
+                run[run.partition_point(|c| c.from < lo)..]
+                    .iter()
+                    .take_while(|c| c.from <= hi)
+                    .any(|c| eq_tol(tol, from, c.from) && plan.partition_active(c.from))
+            }))
 }
 
 /// Whether instant `t` falls inside a total outage `[from, to)` — requests

@@ -231,9 +231,9 @@ fn actualize(plan: &Schedule<f64>, faults: &FaultPlan) -> (Schedule<f64>, usize,
             continue;
         }
         let cut = faults
-            .crashes()
+            .server_windows(h.server)
             .iter()
-            .find(|w| w.server == h.server && w.from > h.from && w.from < h.to);
+            .find(|w| w.from > h.from && w.from < h.to);
         if let Some(w) = cut {
             h.to = w.from;
             copies_lost += 1;
@@ -247,9 +247,9 @@ fn actualize(plan: &Schedule<f64>, faults: &FaultPlan) -> (Schedule<f64>, usize,
     for idx in order {
         let tr = plan.transfers[idx];
         let src_down = faults
-            .crashes()
+            .server_windows(tr.src)
             .iter()
-            .any(|w| w.server == tr.src && tr.at > w.from && tr.at < w.to);
+            .any(|w| tr.at > w.from && tr.at < w.to);
         let src_alive = caches.iter().any(|h| {
             h.server == tr.src
                 && h.from <= tr.at

@@ -6,11 +6,22 @@
 //! replays crashes/transfers/requests against them. That costs several
 //! allocations and two extra passes per seed — about half the sweep hot
 //! path before this module existed. [`StreamingAuditor`] performs the
-//! same checks in one merged scan over four already-sorted event streams
+//! same checks in one merged scan over three already-sorted event streams
 //! (copy records by start time, transfers by instant, requests by
-//! arrival, crash windows by onset), carrying one small state per
-//! server instead of interval lists. All storage lives in a caller-owned
-//! [`AuditScratch`], so a warm audit performs **zero heap allocations**.
+//! arrival), carrying one small state per server instead of interval
+//! lists. All storage lives in a caller-owned [`AuditScratch`], so a warm
+//! audit performs **zero heap allocations**.
+//!
+//! Crash windows are not a fourth stream. A crash only touches its own
+//! server's state, so each server's windows are replayed in onset order,
+//! from the plan's by-server layout, just before an open, transfer or
+//! request reads that server's state: every window starting at or before
+//! the event's instant, which is what a merged stream with crashes first
+//! at ties would have applied by then. The partition waiver reads every
+//! server, so it replays every server first, and the end of the audit
+//! replays the rest. Each server thus sees the same sequence of states as
+//! under one merged sweep, while the sweep skips the windows of servers
+//! nobody reads until later. A plan-free audit replays nothing.
 //!
 //! What the sweep builds comes out in order as well, so the audit sorts
 //! nothing: each merged interval reserves its coverage span when it opens
@@ -27,7 +38,8 @@
 //! `ScheduleAuditor::audit(inst, &rec.to_schedule(), …)` (property-tested
 //! in `tests/audit_equivalence.rs`; the replay auditor remains the
 //! reference those tests compare against). Finding *order* may differ — the
-//! replay groups findings by check, the stream emits them by time.
+//! replay groups findings by check, the stream emits them by time, with
+//! a server's crash findings emitted when its state is next read.
 //!
 //! The equivalence holds under the preconditions the runtime guarantees
 //! (and the generators preserve):
@@ -162,6 +174,8 @@ pub struct AuditScratch {
     /// `(at, src, dst)` per transfer, ordered like a normalized schedule's
     /// transfer list, for the brownout surcharge summation order.
     tr_order: Vec<(f64, u32, u32)>,
+    /// Per server: how many of its crash windows have been replayed.
+    crashes_seen: Vec<u32>,
     findings: Vec<AuditFinding>,
 }
 
@@ -191,6 +205,8 @@ impl AuditScratch {
         self.spans.clear();
         self.outages.clear();
         self.tr_order.clear();
+        self.crashes_seen.clear();
+        self.crashes_seen.resize(servers, 0);
         self.findings.clear();
     }
 }
@@ -209,15 +225,55 @@ impl Default for StreamingAuditor {
     }
 }
 
-/// Event tags, in tie-breaking priority order at equal times: a crash
-/// takes hold before anything else at its onset instant, copies open
+/// Event tags, in tie-breaking priority order at equal times: copies open
 /// before the transfers that justify same-instant deliveries elsewhere,
 /// and requests are served last (a transfer *at* the request instant
-/// counts).
-const TAG_CRASH: u8 = 0;
-const TAG_OPEN: u8 = 1;
-const TAG_TRANSFER: u8 = 2;
-const TAG_REQUEST: u8 = 3;
+/// counts). A crash takes hold before all three at its onset instant (see
+/// [`CrashReplay`]).
+const TAG_OPEN: u8 = 0;
+const TAG_TRANSFER: u8 = 1;
+const TAG_REQUEST: u8 = 2;
+
+/// The plan's crash windows, replayed server by server into the sweep's
+/// states on demand (see the module docs).
+struct CrashReplay<'p> {
+    plan: &'p FaultPlan,
+    /// Per server: how many of its windows are replayed.
+    seen: &'p mut [u32],
+}
+
+impl CrashReplay<'_> {
+    /// Applies every window of server `s` starting at or before `upto`
+    /// that is not yet applied, in onset order.
+    fn catch_up(
+        &mut self,
+        auditor: &StreamingAuditor,
+        srv: &mut [SrvState],
+        s: usize,
+        upto: f64,
+        findings: &mut Vec<AuditFinding>,
+    ) {
+        let run = self.plan.server_windows(ServerId::from_index(s));
+        let seen = &mut self.seen[s];
+        while let Some(w) = run.get(*seen as usize).filter(|w| w.from <= upto) {
+            *seen += 1;
+            auditor.crash(&mut srv[s], w, findings);
+        }
+    }
+
+    /// [`Self::catch_up`] for every server.
+    fn catch_up_all(
+        &mut self,
+        auditor: &StreamingAuditor,
+        srv: &mut [SrvState],
+        upto: f64,
+        findings: &mut Vec<AuditFinding>,
+    ) {
+        for s in 0..srv.len() {
+            self.catch_up(auditor, srv, s, upto, findings);
+        }
+    }
+}
 
 impl StreamingAuditor {
     /// Approximate time equality, the model referee's rule.
@@ -232,6 +288,34 @@ impl StreamingAuditor {
     fn has_time(&self, list: &[f64], at: f64) -> bool {
         let i = list.partition_point(|&x| x < at);
         (i < list.len() && self.eq(list[i], at)) || (i > 0 && self.eq(list[i - 1], at))
+    }
+
+    /// Applies one crash window to its server's state: the latest outage
+    /// on record, and the truncation of the current interval if it
+    /// reaches past the onset.
+    fn crash(&self, st: &mut SrvState, w: &CrashWindow, findings: &mut Vec<AuditFinding>) {
+        st.down_from = w.from;
+        st.down_to = w.to;
+        // Crash checks deliberately ignore `killed`: the replay applies
+        // every crash before any transfer, so a transfer-killed interval
+        // still collects crash findings (see `SrvState`).
+        if !st.has || st.stillborn {
+            return;
+        }
+        // Opens at the onset instant are applied after the crash, so the
+        // current interval started strictly before it; it is truncated if
+        // it reaches past the onset, and watched via the pending slot if a
+        // later seamless merge might stretch it past.
+        if st.from < w.from && st.crash_actual_to > w.from && !self.eq(st.crash_actual_to, w.from) {
+            st.crash_actual_to = w.from;
+            st.truncated = true;
+            findings.push(AuditFinding::Violation(Violation::CopyLostInCrash {
+                server: w.server,
+                at: w.from,
+            }));
+        } else if !st.truncated {
+            st.pending_crash = st.pending_crash.or(Some(w.from));
+        }
     }
 
     /// Closes out a server's current merged interval: coverage span end,
@@ -284,6 +368,7 @@ impl StreamingAuditor {
             costs,
             outages,
             tr_order,
+            crashes_seen,
             findings,
         } = scratch;
 
@@ -359,8 +444,10 @@ impl StreamingAuditor {
         // --- the merged chronological sweep -----------------------------
         let records = &rec.records;
         let transfers = &rec.transfers;
-        let no_crashes: &[CrashWindow] = &[];
-        let crashes = plan.map_or(no_crashes, |p| p.crashes());
+        let mut replay = plan.map(|plan| CrashReplay {
+            plan,
+            seen: crashes_seen,
+        });
         let n = inst.n();
         let mut anchored = false;
         // Latest request that pins the coverage obligation: one served
@@ -368,7 +455,7 @@ impl StreamingAuditor {
         // past it were all absorbed by the wrapper's offline queue, so the
         // schedule owes no coverage beyond the last covered instant.
         let mut tail_block = f64::NEG_INFINITY;
-        let (mut ri, mut ti, mut qi, mut ci) = (0usize, 0usize, 1usize, 0usize);
+        let (mut ri, mut ti, mut qi) = (0usize, 0usize, 1usize);
         loop {
             // Skip empty records (dropped by normalization).
             while ri < records.len() && !(records[ri].to > records[ri].from) {
@@ -376,7 +463,6 @@ impl StreamingAuditor {
             }
             let mut pick: Option<(f64, u8)> = None;
             let candidates = [
-                ((ci < crashes.len()).then(|| crashes[ci].from), TAG_CRASH),
                 ((ri < records.len()).then(|| records[ri].from), TAG_OPEN),
                 (
                     (ti < transfers.len()).then(|| transfers[ti].at),
@@ -395,47 +481,15 @@ impl StreamingAuditor {
             }
             let Some((_, tag)) = pick else { break };
             match tag {
-                TAG_CRASH => {
-                    let w = crashes[ci];
-                    ci += 1;
-                    if w.server.index() >= servers {
-                        continue;
-                    }
-                    let st = &mut srv[w.server.index()];
-                    st.down_from = w.from;
-                    st.down_to = w.to;
-                    // Crash checks deliberately ignore `killed`: the
-                    // replay applies every crash before any transfer, so
-                    // a transfer-killed interval still collects crash
-                    // findings (see `SrvState`).
-                    if !st.has || st.stillborn {
-                        continue;
-                    }
-                    // Opens at the onset instant are processed after the
-                    // crash, so the current interval started strictly
-                    // before it; it is truncated if it reaches past the
-                    // onset, and watched via the pending slot if a later
-                    // seamless merge might stretch it past.
-                    if st.from < w.from
-                        && st.crash_actual_to > w.from
-                        && !self.eq(st.crash_actual_to, w.from)
-                    {
-                        st.crash_actual_to = w.from;
-                        st.truncated = true;
-                        findings.push(AuditFinding::Violation(Violation::CopyLostInCrash {
-                            server: w.server,
-                            at: w.from,
-                        }));
-                    } else if !st.truncated {
-                        st.pending_crash = st.pending_crash.or(Some(w.from));
-                    }
-                }
                 TAG_OPEN => {
                     let r = &records[ri];
                     ri += 1;
                     let s = r.server.index();
                     if s >= servers {
                         continue; // not indexed by the replay either
+                    }
+                    if let Some(replay) = &mut replay {
+                        replay.catch_up(self, srv, s, r.from, findings);
                     }
                     let st = &mut srv[s];
                     if st.has && r.from <= st.to {
@@ -518,6 +572,10 @@ impl StreamingAuditor {
                         }));
                         continue;
                     }
+                    if let Some(replay) = &mut replay {
+                        replay.catch_up(self, srv, tr.src.index(), tr.at, findings);
+                        replay.catch_up(self, srv, tr.dst.index(), tr.at, findings);
+                    }
                     let src = &srv[tr.src.index()];
                     // Strictly inside an outage the source cannot send
                     // (the boundary instant is the pre-crash state).
@@ -579,6 +637,9 @@ impl StreamingAuditor {
                 _ => {
                     let (s, t) = (inst.server(qi), inst.t(qi));
                     qi += 1;
+                    if let (Some(replay), true) = (&mut replay, s.index() < servers) {
+                        replay.catch_up(self, srv, s.index(), t, findings);
+                    }
                     let served = s.index() < servers && {
                         let st = &srv[s.index()];
                         (st.alive() && self.le(st.from, t) && self.le(t, st.crash_actual_to))
@@ -594,13 +655,18 @@ impl StreamingAuditor {
                         // defers such requests into its accounted queue).
                         let waived = plan.is_some_and(|p| {
                             outage_covers(self.tol, outages, t)
-                                || (p.partition_active(t)
-                                    && !srv.iter().enumerate().any(|(s2, st)| {
+                                || (p.partition_active(t) && {
+                                    // Reads every server's state.
+                                    if let Some(replay) = &mut replay {
+                                        replay.catch_up_all(self, srv, t, findings);
+                                    }
+                                    !srv.iter().enumerate().any(|(s2, st)| {
                                         !p.partitioned(ServerId::from_index(s2), s, t)
                                             && st.alive()
                                             && self.le(st.from, t)
                                             && self.le(t, st.crash_actual_to)
-                                    }))
+                                    })
+                                })
                         });
                         if !waived {
                             tail_block = tail_block.max(t);
@@ -613,6 +679,9 @@ impl StreamingAuditor {
                     }
                 }
             }
+        }
+        if let Some(replay) = &mut replay {
+            replay.catch_up_all(self, srv, f64::INFINITY, findings);
         }
         for (s, st) in srv.iter_mut().enumerate() {
             self.finalize_interval(st, s, spans, &mut costs[s], &mut anchored);
@@ -976,6 +1045,79 @@ mod tests {
             report.findings.iter().any(|f| matches!(
                 f,
                 AuditFinding::Violation(Violation::CopyLostInCrash { at, .. }) if *at == 1.2
+            )),
+            "{:?}",
+            report.findings
+        );
+        assert_matches_replay(&inst, &rec, None, None, Some(&plan));
+    }
+
+    #[test]
+    fn partition_waiver_replays_servers_nobody_read_since_their_crash() {
+        // Server 1 copies the origin at 0.5 and crashes at 3. At 5 a
+        // request on server 2 finds no copy on its side of the partition
+        // [2, 10), which puts servers 1 and 2 against the origin. Nothing
+        // reads server 1 between its crash and the request, so the waiver
+        // must replay server 1's crash to see its copy gone.
+        let inst = Instance::<f64>::new(
+            3,
+            CostModel::unit(),
+            vec![
+                mcc_model::Request {
+                    server: ServerId(1),
+                    time: 0.5,
+                },
+                mcc_model::Request {
+                    server: ServerId(2),
+                    time: 5.0,
+                },
+            ],
+        )
+        .unwrap();
+        let rec = RunRecord {
+            records: vec![
+                CopyRecord {
+                    server: ServerId(0),
+                    from: 0.0,
+                    last_touch: 0.5,
+                    to: 10.0,
+                },
+                CopyRecord {
+                    server: ServerId(1),
+                    from: 0.5,
+                    last_touch: 0.5,
+                    to: 10.0,
+                },
+            ],
+            transfers: vec![TransferRecord {
+                src: ServerId(0),
+                dst: ServerId(1),
+                at: 0.5,
+                epoch: 0,
+            }],
+            epoch_boundaries: vec![],
+        };
+        let plan = FaultPlan::new(
+            vec![CrashWindow {
+                server: ServerId(1),
+                from: 3.0,
+                to: 4.0,
+            }],
+            1,
+            0.0,
+            0,
+            0.0,
+        )
+        .with_partitions(vec![mcc_core::online::PartitionWindow {
+            from: 2.0,
+            to: 10.0,
+            mask: 0b110,
+        }]);
+        let report = StreamingAuditor::default().audit_record(&inst, &rec, None, None, Some(&plan));
+        assert!(
+            !report.findings.iter().any(|f| matches!(
+                f,
+                AuditFinding::Violation(Violation::UnservedRequest { .. })
             )),
             "{:?}",
             report.findings

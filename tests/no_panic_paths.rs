@@ -58,3 +58,27 @@ fn simnet_and_cli_non_test_code_never_unwraps() {
         offenders.join("\n")
     );
 }
+
+/// `mcc online --analyze` on a run with mid-sequence epoch resets used to
+/// abort on an assertion; the analysis now refuses such runs with a typed
+/// error the CLI turns into exit 2.
+#[test]
+fn analysis_of_a_multi_epoch_run_is_a_typed_error() {
+    use mobile_cloud_cache::online::AnalyzeError;
+    use mobile_cloud_cache::prelude::{
+        run_policy, try_analyze, CommonParams, PoissonWorkload, SpeculativeCaching, Workload,
+    };
+    let params = CommonParams {
+        servers: 8,
+        requests: 400,
+        ..CommonParams::small()
+    };
+    let inst = PoissonWorkload::uniform(params, 1.0).generate(77);
+    let run = run_policy(&mut SpeculativeCaching::<f64>::with_epochs(3), &inst);
+    assert!(matches!(
+        try_analyze(&inst, &run),
+        Err(AnalyzeError::MidSequenceEpoch { .. })
+    ));
+    let run = run_policy(&mut SpeculativeCaching::<f64>::paper(), &inst);
+    assert!(try_analyze(&inst, &run).is_ok());
+}
