@@ -653,9 +653,8 @@ impl ChaosSetup {
         }
     }
 
-    /// Expands every seed's plan; returns the crash windows built.
-    fn plan(&mut self) -> usize {
-        let mut windows = 0;
+    /// Expands every seed's plan.
+    fn plan(&mut self) {
         for (seed, &horizon) in self.horizons.iter().enumerate() {
             self.spec.plan_for_into(
                 seed as u64,
@@ -664,9 +663,8 @@ impl ChaosSetup {
                 &mut self.plan,
                 &mut self.scratch,
             );
-            windows += black_box(self.plan.crashes().len());
+            black_box(self.plan.crashes().len());
         }
-        windows
     }
 }
 
@@ -713,12 +711,7 @@ fn sweep_readings() -> Vec<Reading> {
         Probe {
             name: "fault_plan_vs_generate",
             limit: Limit::Max(FAULT_PLAN_CEILING),
-            pair: Box::new(pair(
-                || {
-                    planner.plan();
-                },
-                || generator.generate(),
-            )),
+            pair: Box::new(pair(|| planner.plan(), || generator.generate())),
         },
     ])
 }
@@ -760,24 +753,6 @@ fn sweep_report(quick: bool) -> Measured {
             ),
         ]));
     }
-    let mut chaos = ChaosSetup::new();
-    let windows = chaos.plan();
-    let plan_secs = best_secs(|| {
-        chaos.plan();
-    });
-    rows.push(obj(vec![
-        ("fault_plan", text("sweep_chaos unit")),
-        ("m", int(CHAOS_SCALE.servers)),
-        ("n", int(CHAOS_SCALE.requests)),
-        (
-            "crash_windows_per_plan",
-            int(windows / CHAOS_SCALE.seeds as usize),
-        ),
-        (
-            "ns_per_crash_window",
-            Json::Float(plan_secs * 1e9 / windows as f64),
-        ),
-    ]));
     Measured {
         shape: vec![
             ("n", int(scale.requests)),
@@ -787,10 +762,6 @@ fn sweep_report(quick: bool) -> Measured {
             (
                 "sc_replay",
                 text("poisson rate 1, unit costs, seed 7, m 2/8/64/256"),
-            ),
-            (
-                "fault_plan",
-                text("m 16, n 2000, crash rate 0.1, seeds 0..8, warm buffers"),
             ),
         ],
         unit: "units/s",

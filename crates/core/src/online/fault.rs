@@ -100,9 +100,13 @@
 //! during a total outage, with a queue to drain, or with a replication
 //! pending on a sole copy; heals only with a queue to drain and a live
 //! copy. The rest are passed by moving the frontier, which reaches the
-//! same states as visiting every event. A lower bound on the next crash of
-//! any server holding a copy, lowered whenever a copy opens, lets a
-//! request with nothing due return after one compare.
+//! same states as visiting every event. Two lazy min-heaps find the next
+//! candidate in `O(log m)` however many servers hold a copy: one holds the
+//! next onset of each server that opened a copy (an entry whose server
+//! closed, or whose onset passed, is dropped or moved when it reaches the
+//! top), the other each server's next recovery. The top of the first
+//! bounds the next crash that can act, so a request with nothing due
+//! returns after one compare.
 
 // The chaos layer is reachable from user input (CLI fault knobs feed
 // straight into plan expansion), so it carries the same no-panic bar as
@@ -110,6 +114,8 @@
 // the lints below.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use mcc_model::{CostModel, Request, Scalar, ServerId};
@@ -1036,6 +1042,37 @@ impl EventKey {
     }
 }
 
+/// A crash or recovery of `server` due at `at`. [`BinaryHeap`] pops the
+/// least (instant, server) first, in [`f64::total_cmp`] order.
+#[derive(Copy, Clone, Debug)]
+struct Due {
+    at: f64,
+    server: u32,
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Due {}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .at
+            .total_cmp(&self.at)
+            .then(other.server.cmp(&self.server))
+    }
+}
+
 /// The wrapper's place in its plan's fault events. Each server's onsets
 /// and recoveries are strictly ascending runs of the plan's by-server
 /// layout and heals follow the partitions' by-heal index, so one cursor
@@ -1047,7 +1084,8 @@ impl EventKey {
 /// recovery or heal with no queue to drain and no replication pending.
 /// The walk only visits events that can act (see
 /// [`FaultTolerant::advance_faults`]) and passes the rest wholesale by
-/// moving the frontier.
+/// moving the frontier. Two heaps find the next of them in `O(log m)`: the
+/// onsets of the servers holding a copy and every server's next recovery.
 #[derive(Clone, Debug)]
 struct FaultWalk {
     /// Per crashing server: position in the plan's window list of its
@@ -1060,10 +1098,17 @@ struct FaultWalk {
     heal: usize,
     /// Every event at or before this key has been handled or passed.
     frontier: EventKey,
-    /// A lower bound on the next onset of any server holding a copy:
-    /// exact after each scan, lowered whenever a copy opens. `-inf` until
-    /// the first scan.
-    next_onset: f64,
+    /// At most one entry per crashing server, at or before its next onset
+    /// past the frontier. Every server holding a copy that has an onset
+    /// left has one, so the top bounds the next crash that can act. An
+    /// entry whose server closed or whose onset passed is dropped or
+    /// moved when it reaches the top.
+    downs: BinaryHeap<Due>,
+    /// Whether each crashing server has an entry in `downs`.
+    in_downs: Vec<bool>,
+    /// One entry per crashing server with a recovery left: the recovery
+    /// at its cursor, moved when it reaches the top behind the frontier.
+    ups: BinaryHeap<Due>,
 }
 
 impl FaultWalk {
@@ -1074,13 +1119,15 @@ impl FaultWalk {
             recovery: Vec::new(),
             heal: 0,
             frontier: EventKey::START,
-            next_onset: f64::NEG_INFINITY,
+            downs: BinaryHeap::new(),
+            in_downs: Vec::new(),
+            ups: BinaryHeap::new(),
         };
         walk.reset(plan);
         walk
     }
 
-    /// Rewinds to the start of `plan`, reusing the cursor buffers.
+    /// Rewinds to the start of `plan`, reusing the buffers.
     fn reset(&mut self, plan: &FaultPlan) {
         let runs = &plan.crash_start[..plan.crash_start.len().saturating_sub(1)];
         self.onset.clear();
@@ -1089,7 +1136,17 @@ impl FaultWalk {
         self.recovery.extend_from_slice(runs);
         self.heal = 0;
         self.frontier = EventKey::START;
-        self.next_onset = f64::NEG_INFINITY;
+        self.downs.clear();
+        self.in_downs.clear();
+        self.in_downs.resize(runs.len(), false);
+        self.ups.clear();
+        self.ups
+            .extend(plan.crash_runs().enumerate().filter_map(|(s, run)| {
+                run.first().map(|w| Due {
+                    at: w.to,
+                    server: s as u32,
+                })
+            }));
     }
 
     /// How many of server `s`'s windows have onsets at or before the
@@ -1122,28 +1179,22 @@ impl FaultWalk {
         plan.server_windows(s).get(k).map(|w| w.from)
     }
 
-    /// Notes a copy opening on `s`: its next onset may come before the
-    /// walk's bound.
+    /// Notes a copy opening on `s`: its next onset becomes a crash that
+    /// can act. A server already in `downs` keeps its entry, which is at
+    /// or before that onset.
     fn opened(&mut self, plan: &FaultPlan, s: ServerId) {
+        if self.in_downs.get(s.index()) != Some(&false) {
+            return;
+        }
         if let Some(at) = self.next_onset_of(plan, s) {
-            self.next_onset = self.next_onset.min(at);
+            self.in_downs[s.index()] = true;
+            self.downs.push(Due { at, server: s.0 });
         }
     }
 
-    /// Whether `s` is down at `t`, read off its onset cursor: once the
-    /// frontier has passed every onset at or before `t` and none after,
-    /// the latest passed window is the only one that can cover `t`.
-    /// Falls back to the plan's search for any other `t`.
-    fn is_down(&mut self, plan: &FaultPlan, s: ServerId, t: f64) -> bool {
-        let k = self.onsets_passed(plan, s.index());
-        let run = plan.server_windows(s);
-        let settled = run.get(k).is_none_or(|w| w.from > t)
-            && k.checked_sub(1).is_none_or(|p| run[p].from <= t);
-        if settled {
-            k > 0 && t < run[k - 1].to
-        } else {
-            plan.is_down(s, t)
-        }
+    /// A lower bound on the next onset of any server holding a copy.
+    fn next_onset(&self) -> f64 {
+        self.downs.peek().map_or(f64::INFINITY, |d| d.at)
     }
 
     /// Passes every event at or before `until`.
@@ -1154,14 +1205,73 @@ impl FaultWalk {
         }
     }
 
+    /// The next onset past the frontier of a server for which `is_open`
+    /// holds, settling the top of `downs` onto it.
+    fn next_down(&mut self, plan: &FaultPlan, is_open: impl Fn(ServerId) -> bool) -> Option<Due> {
+        while let Some(&Due { at, server }) = self.downs.peek() {
+            let s = ServerId(server);
+            let next = if is_open(s) {
+                self.next_onset_of(plan, s)
+            } else {
+                None
+            };
+            if next.is_some_and(|n| n.total_cmp(&at).is_eq()) {
+                return Some(Due { at, server });
+            }
+            self.downs.pop();
+            match next {
+                Some(at) => self.downs.push(Due { at, server }),
+                None => {
+                    if let Some(flag) = self.in_downs.get_mut(s.index()) {
+                        *flag = false;
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// The next recovery past the frontier, settling the top of `ups`
+    /// onto it.
+    fn next_up(&mut self, plan: &FaultPlan) -> Option<EventKey> {
+        while let Some(&Due { at, server }) = self.ups.peek() {
+            let key = EventKey {
+                at,
+                kind: KIND_UP,
+                idx: server,
+            };
+            if key.is_after(&self.frontier) {
+                return Some(key);
+            }
+            self.ups.pop();
+            let s = server as usize;
+            let (Some(j), Some(&end)) = (self.recovery.get_mut(s), plan.crash_start.get(s + 1))
+            else {
+                continue;
+            };
+            while *j < end {
+                let Some(w) = plan.crashes.get(*j as usize) else {
+                    break;
+                };
+                let key = EventKey { at: w.to, ..key };
+                if key.is_after(&self.frontier) {
+                    self.ups.push(Due { at: w.to, server });
+                    break;
+                }
+                *j += 1;
+            }
+        }
+        None
+    }
+
     /// The first event past the frontier that can act, if it falls at or
     /// before `until`; the frontier moves onto it. Candidates are the
-    /// onsets of the `open` servers, every recovery when `ups`, and every
-    /// heal when `heals`. Refreshes the onset bound on the way.
+    /// onsets of servers for which `is_open` holds, every recovery when
+    /// `ups`, and every heal when `heals`.
     fn next_due(
         &mut self,
         plan: &FaultPlan,
-        open: impl Iterator<Item = ServerId>,
+        is_open: impl Fn(ServerId) -> bool,
         ups: bool,
         heals: bool,
         until: f64,
@@ -1172,34 +1282,18 @@ impl FaultWalk {
                 best = Some((key, ev));
             }
         };
-        let mut next_onset = f64::INFINITY;
-        for server in open {
-            if let Some(at) = self.next_onset_of(plan, server) {
-                next_onset = next_onset.min(at);
-                let key = EventKey {
-                    at,
-                    kind: KIND_DOWN,
-                    idx: server.0,
-                };
-                offer(key, FaultEvent::Down { server, at });
-            }
+        if let Some(Due { at, server }) = self.next_down(plan, is_open) {
+            let key = EventKey {
+                at,
+                kind: KIND_DOWN,
+                idx: server,
+            };
+            let server = ServerId(server);
+            offer(key, FaultEvent::Down { server, at });
         }
-        self.next_onset = next_onset;
         if ups {
-            for (s, j) in self.recovery.iter_mut().enumerate() {
-                let end = plan.crash_start[s + 1];
-                while *j < end {
-                    let key = EventKey {
-                        at: plan.crashes[*j as usize].to,
-                        kind: KIND_UP,
-                        idx: s as u32,
-                    };
-                    if key.is_after(&self.frontier) {
-                        offer(key, FaultEvent::Up { at: key.at });
-                        break;
-                    }
-                    *j += 1;
-                }
+            if let Some(key) = self.next_up(plan) {
+                offer(key, FaultEvent::Up { at: key.at });
             }
         }
         if heals {
@@ -1373,14 +1467,11 @@ impl<P> FaultTolerant<P> {
             let live = rt.live_copies();
             let ups = live == 0 || self.queued > 0 || (self.pending_replica && live == 1);
             let heals = live > 0 && self.queued > 0;
-            if !ups && !heals && until < self.walk.next_onset {
+            if !ups && !heals && until < self.walk.next_onset() {
                 break;
             }
-            let crashing = rt.servers().min(self.walk.onset.len());
-            let open = (0..crashing)
-                .map(ServerId::from_index)
-                .filter(|&s| rt.is_open(s));
-            match self.walk.next_due(&self.plan, open, ups, heals, until) {
+            let is_open = |s| rt.is_open(s);
+            match self.walk.next_due(&self.plan, is_open, ups, heals, until) {
                 Some(ev) => self.apply(rt, ev),
                 None => break,
             }
@@ -1547,11 +1638,17 @@ impl<P> FaultTolerant<P> {
 }
 
 impl<P> FaultTolerant<P> {
-    /// Insurance from the start, once per run: the origin's sole initial
-    /// copy is one crash away from extinction.
+    /// Once per run: notes the copies the run starts with (the origin's)
+    /// with the walk, then insures them: the origin's sole initial copy
+    /// is one crash away from extinction.
     fn bootstrap<S: Scalar>(&mut self, rt: &mut dyn CopyOps<S>) {
         if !self.bootstrapped {
             self.bootstrapped = true;
+            for s in (0..rt.servers()).map(ServerId::from_index) {
+                if rt.is_open(s) {
+                    self.walk.opened(&self.plan, s);
+                }
+            }
             if self.plan.has_crashes() {
                 self.ensure_redundancy(rt, S::ZERO, false);
             }
@@ -1696,7 +1793,7 @@ impl<S: Scalar> FaultView<'_, S> {
     /// arrival.
     fn open(&mut self, src: ServerId, dst: ServerId, t: S) {
         self.rt.transfer(src, dst, t);
-        if self.walk.is_down(self.plan, dst, t.to_f64()) {
+        if self.plan.is_down(dst, t.to_f64()) {
             self.rt.close(dst, t);
             self.stats.down_serves += 1;
         } else {
@@ -1750,7 +1847,7 @@ impl<S: Scalar> CopyOps<S> for FaultView<'_, S> {
             return;
         }
         if self.rt.is_open(src)
-            && !self.walk.is_down(self.plan, src, t.to_f64())
+            && !self.plan.is_down(src, t.to_f64())
             && !self.plan.partitioned(src, dst, t.to_f64())
         {
             self.charge(src, dst, t.to_f64());
@@ -1816,6 +1913,44 @@ mod tests {
         assert_eq!(plain.actions, wrapped.actions);
         assert_eq!(*ft.stats(), FaultStats::default());
         assert_eq!(ft.name(), "sc+ft");
+    }
+
+    #[test]
+    fn a_plan_swapped_without_reset_walks_without_panicking() {
+        // `plan_mut` is for swapping plans between runs; a caller that
+        // skips `reset` gets a walk over stale cursors, never a panic.
+        // The new plan crashes fewer servers than the cursors were sized
+        // for, and a partition defers a request so recoveries are walked.
+        let window = |s: usize, from: f64| CrashWindow {
+            server: ServerId::from_index(s),
+            from,
+            to: from + 0.5,
+        };
+        let old = (0..4)
+            .flat_map(|s| (0..3).map(move |k| window(s, 1.0 + 3.0 * k as f64 + 0.1 * s as f64)))
+            .collect();
+        let cost = CostModel::<f64>::unit();
+        let mut ft = FaultTolerant::new(
+            crate::online::baselines::StayAtOrigin::new(),
+            FaultPlan::new(old, 1, 0.0, 0, 0.0),
+        );
+        let mut rt = Runtime::<f64>::new(4);
+        ft.reset(4, &cost);
+        for i in 0..10 {
+            ft.observe(Request::new(ServerId(0), 0.5 + 0.5 * i as f64), &mut rt);
+        }
+        *ft.plan_mut() =
+            FaultPlan::new(vec![window(0, 30.0)], 1, 0.0, 0, 0.0).with_partitions(vec![
+                PartitionWindow {
+                    from: 12.0,
+                    to: 20.0,
+                    mask: 0b1000,
+                },
+            ]);
+        for (i, s) in [3, 0, 3, 0, 0, 0].into_iter().enumerate() {
+            ft.observe(Request::new(ServerId(s), 12.5 + 4.0 * i as f64), &mut rt);
+        }
+        assert!(ft.stats().partition_deferrals >= 1, "{:?}", ft.stats());
     }
 
     #[test]
